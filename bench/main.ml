@@ -27,6 +27,12 @@ let human n =
    happened in, not just the operation that failed. *)
 let in_experiment = ref "(harness)"
 
+(* [time f] is [f ()] and the seconds it took on [Obs.Clock]. *)
+let time f =
+  let t0 = Obs.Clock.now () in
+  let r = f () in
+  (r, Obs.Clock.now () -. t0)
+
 let or_fail what pp = function
   | Ok v -> v
   | Error e -> Fmt.failwith "[%s] %s failed: %a" !in_experiment what pp e
@@ -272,11 +278,6 @@ let ablation () =
     (100.
     *. (1. -. (float_of_int (node_count compacted) /. float_of_int (node_count doc))));
   Printf.printf "\nC. direct probabilistic evaluation vs world enumeration (Q1)\n";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let direct, td = time (fun () -> rank ~strategy:Pquery.Direct_only doc q1) in
   let naive, tn =
     time (fun () -> rank ~strategy:Pquery.Enumerate_only ~world_limit:1e7 doc q1)
@@ -355,11 +356,6 @@ let sampling () =
   Printf.printf "error shrinks as O(1/sqrt n); sampling needs no enumeration at all.\n"
 
 (* ---- extension: scalable probabilistic querying --------------------------------------- *)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 let pquery_enumerate () =
   section "Querying - sequential world enumeration (the reference evaluator)";
@@ -476,13 +472,15 @@ let pquery_degraded () =
   in
   let d_ms = 50 in
   let deadline = Resilience.Budget.create ~timeout_ms:d_ms () in
-  let t0 = Unix.gettimeofday () in
-  (match
-     rank ~budget:deadline ~strategy:Pquery.Enumerate_only ~world_limit:1e12 huge "//r/v"
-   with
-  | _ -> Fmt.failwith "[%s] 2^30 worlds cannot be enumerated in %d ms" !in_experiment d_ms
-  | exception Resilience.Budget.Exceeded Resilience.Budget.Deadline -> ());
-  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let (), elapsed =
+    time (fun () ->
+        match
+          rank ~budget:deadline ~strategy:Pquery.Enumerate_only ~world_limit:1e12 huge "//r/v"
+        with
+        | _ -> Fmt.failwith "[%s] 2^30 worlds cannot be enumerated in %d ms" !in_experiment d_ms
+        | exception Resilience.Budget.Exceeded Resilience.Budget.Deadline -> ())
+  in
+  let elapsed_ms = elapsed *. 1000. in
   Printf.printf "deadline %d ms on 2^30 worlds: halted in %.1f ms" d_ms elapsed_ms;
   if elapsed_ms >= 2. *. float_of_int d_ms then
     Fmt.failwith "[%s] deadline %d ms only halted after %.1f ms (> 2x)" !in_experiment d_ms
@@ -676,11 +674,6 @@ let scale () =
   let name_block t =
     if Tree.name t = Some "person" then Tree.field t "nm" else None
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   Printf.printf "%-8s %14s %14s %12s\n" "persons" "no blocking" "blocking" "nodes";
   List.iter
     (fun n ->
@@ -857,14 +850,20 @@ let store_binary_roundtrip () =
   let xml_strs = List.map Codec.to_string [ fig2; qdoc ] in
   let bin_strs = List.map Bincodec.doc_to_string [ fig2; qdoc ] in
   for _ = 1 to 40 do
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun str -> ignore (or_fail "xml decode" Fmt.string (Codec.of_string str))) xml_strs;
-    Obs.Metrics.observe h_xml ((Unix.gettimeofday () -. t0) *. 1000.);
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun str -> ignore (or_fail "binary decode" Fmt.string (Bincodec.of_string str)))
-      bin_strs;
-    Obs.Metrics.observe h_bin ((Unix.gettimeofday () -. t0) *. 1000.)
+    let (), t_xml =
+      time (fun () ->
+          List.iter
+            (fun str -> ignore (or_fail "xml decode" Fmt.string (Codec.of_string str)))
+            xml_strs)
+    in
+    Obs.Metrics.observe h_xml (t_xml *. 1000.);
+    let (), t_bin =
+      time (fun () ->
+          List.iter
+            (fun str -> ignore (or_fail "binary decode" Fmt.string (Bincodec.of_string str)))
+            bin_strs)
+    in
+    Obs.Metrics.observe h_bin (t_bin *. 1000.)
   done;
   let p50 h = (Obs.Metrics.stats h).Obs.Metrics.p50 in
   Printf.printf "decode p50: xml %.3f ms   binary %.3f ms   speedup %.1fx\n" (p50 h_xml)
@@ -1062,17 +1061,13 @@ let json_of_run (name, wall_s, snap) =
 let run_experiment ~record name f =
   in_experiment := name;
   if Option.is_some record then Obs.Metrics.reset ();
-  let t0 = Unix.gettimeofday () in
-  Obs.Trace.with_span ("bench." ^ name) f;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let (), wall_s = time (fun () -> Obs.Trace.with_span ("bench." ^ name) f) in
   Option.iter
     (fun acc -> acc := (name, wall_s, Obs.Metrics.snapshot ()) :: !acc)
     record;
   in_experiment := "(harness)"
 
 let () =
-  (* wall-clock latency histograms (lib/obs defaults to CPU time) *)
-  Obs.Clock.set Unix.gettimeofday;
   let rec split json acc = function
     | [] -> (json, List.rev acc)
     | "--json" :: file :: rest -> split (Some file) acc rest

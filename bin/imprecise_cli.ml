@@ -152,7 +152,7 @@ let with_telemetry t f =
   if not (t.trace || t.trace_out <> None || t.events_out <> None) then f ()
   else begin
     let sink, roots = Obs.Trace.collector () in
-    Obs.Trace.install ~now:Unix.gettimeofday sink;
+    Obs.Trace.install sink;
     let events_oc =
       Option.map
         (fun path ->
@@ -914,8 +914,8 @@ let demo_cmd =
 
 (* Offline aggregation of a JSONL event log written by [--events-out].
    An "op completion" is any event carrying a [dur_ms] field, except the
-   [slow_op] markers (those duplicate an op the recorder already emitted,
-   so counting them would double-book the latency). *)
+   [slow_op] markers (those duplicate an op event already emitted, so
+   counting them would double-book the latency). *)
 let report_cmd =
   let fstr name ev =
     match Obs.Event.field name ev with Some (Obs.Json.String s) -> Some s | _ -> None
@@ -1137,8 +1137,4 @@ let main =
       validate_cmd; check_cmd; rules_cmd; doctor_cmd; demo_cmd; report_cmd;
     ]
 
-let () =
-  (* wall-clock for event timestamps and recorder durations; the obs
-     library itself is stdlib-only and defaults to CPU time *)
-  Obs.Clock.set Unix.gettimeofday;
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

@@ -505,24 +505,21 @@ let run_catching f =
   | O.Conflict msg -> Error (Oracle_conflict msg)
   | Budget.Exceeded reason -> Error (Budget_exceeded (Budget.reason_to_string reason))
 
-(* [run_catching] turns failures into [Error], so a flight record would
-   read "ok" for a failed integration; [recorded] re-surfaces the error as
-   the record's outcome and notes the trace tallies on success. The span
-   wraps the recorder so the finished record carries the op's own
-   trace/span ids (the recorder reads them at finish time). *)
+(* [run_catching] turns failures into [Error], so an op would read "ok"
+   for a failed integration; [recorded] re-surfaces the error as the op's
+   outcome. *)
 let recorded ~op f =
-  Obs.Trace.with_span op @@ fun () ->
-  Obs.Recorder.run ~op @@ fun () ->
+  Obs.Trace.op op @@ fun () ->
   let result = f () in
   (match result with
-  | Error e -> Obs.Recorder.outcome (Fmt.str "error:%a" pp_error e)
+  | Error e -> Obs.Trace.outcome (Fmt.str "error:%a" pp_error e)
   | Ok _ -> ());
   result
 
 let note_trace trace =
-  Obs.Recorder.note "pairs_generated" (Obs.Json.Int trace.pairs_generated);
-  Obs.Recorder.note "pairs_compared" (Obs.Json.Int trace.pairs_compared);
-  Obs.Recorder.note "clusters" (Obs.Json.Int trace.cluster_count)
+  Obs.Trace.note "pairs_generated" (Obs.Json.Int trace.pairs_generated);
+  Obs.Trace.note "pairs_compared" (Obs.Json.Int trace.pairs_compared);
+  Obs.Trace.note "clusters" (Obs.Json.Int trace.cluster_count)
 
 let integrate_traced cfg a b =
   Obs.Metrics.incr c_runs;

@@ -1,6 +1,7 @@
 (* Telemetry for the whole stack: counters and histograms in a registry
-   (Metrics), nested timing spans with a pluggable sink (Trace), and the
-   minimal JSON both render to (Json). Stdlib only — see obs.mli. *)
+   (Metrics), structured events (Event), nested timing spans and op
+   brackets on one frame stack (Trace), all on one clock (Clock), and the
+   minimal JSON they render to (Json). See obs.mli. *)
 
 module Json = struct
   type t =
@@ -279,11 +280,11 @@ module Json = struct
 end
 
 module Clock = struct
-  (* The process clock behind events and flight records. lib/obs cannot
-     depend on unix, so the default is [Sys.time] (CPU seconds); the CLI,
-     bench, and tests install [Unix.gettimeofday] (or a fake) at startup.
-     The slot is atomic so a read from a spawned domain is well-defined. *)
-  let state : (unit -> float) Atomic.t = Atomic.make Sys.time
+  (* The one process clock: span bounds, op durations, event timestamps and
+     budget deadlines all read it. Wall time by default; a benchmark may
+     install a monotonic clock, a test a fake one. The slot is atomic so a
+     read from a spawned domain is well-defined. *)
+  let state : (unit -> float) Atomic.t = Atomic.make Unix.gettimeofday
   let set now = Atomic.set state now
   let now () = (Atomic.get state) ()
 end
@@ -542,106 +543,43 @@ module Metrics = struct
       ]
 end
 
-module Trace = struct
-  type span = { name : string; start : float; stop : float; children : span list }
+module Frame = struct
+  (* The one domain-local frame stack. Every open span and every in-flight
+     op is a frame on its domain's stack. Event ids are read off it, so it
+     sits below both Event and Trace.
 
-  let duration s = s.stop -. s.start
-
-  type sink = span -> unit
-
-  type frame = {
-    fname : string;
-    fstart : float;
-    fid : int;
-    mutable rev_children : span list;
-  }
-
-  (* Frame ids are minted process-wide so (root id, open-frame id) works as
-     a (trace id, span id) pair for correlating events with spans; 0 is
-     reserved for "no tracing active". *)
-  let next_id = Atomic.make 1
-
-  type state = {
-    mutable sink : sink option;
-    mutable now : unit -> float;
-  }
-
-  (* [Sys.time] (CPU seconds) is the only clock the stdlib has; real callers
-     install a wall clock such as [Unix.gettimeofday]. *)
-  let st = { sink = None; now = Sys.time }
-
-  (* Every domain owns its own span stack. A single shared stack corrupts
-     the tree as soon as a span opens inside a spawned domain (frames from
+     Every domain owns its own stack. A single shared stack corrupts the
+     tree as soon as a span opens inside a spawned domain (frames from
      different domains interleave); with domain-local stacks, spans opened
      off the installing domain nest among themselves and are delivered to
      the sink as separate *root* spans when their outermost span completes.
      They are never attached under another domain's currently-open span —
-     cross-domain attachment would race with the parent closing. The sink
-     itself is serialised by [sink_lock], so any sink (the collector
-     included) may be driven from parallel code. *)
-  let stack_key : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+     cross-domain attachment would race with the parent closing. *)
+  type span = { name : string; start : float; stop : float; children : span list }
 
-  let sink_lock = Mutex.create ()
+  (* What an op frame carries beyond the span: its in-flight record. *)
+  type op = {
+    detail : string;
+    mutable rev_notes : (string * Json.t) list;
+    mutable outcome : string option;
+  }
 
-  let enabled () = st.sink <> None
+  type t = {
+    fname : string;
+    fstart : float;
+    fid : int; (* 0: not a span (an op opened while no sink was installed) *)
+    mutable rev_children : span list;
+    op : op option;
+  }
 
-  let install ?(now = Sys.time) sink =
-    st.sink <- Some sink;
-    st.now <- now;
-    Domain.DLS.get stack_key := []
+  let stack : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-  let uninstall () =
-    st.sink <- None;
-    Domain.DLS.get stack_key := []
-
-  let with_span name f =
-    match st.sink with
-    | None -> f () (* the whole cost of disabled tracing: one load + branch *)
-    | Some _ ->
-        let stack = Domain.DLS.get stack_key in
-        let frame =
-          {
-            fname = name;
-            fstart = st.now ();
-            fid = Atomic.fetch_and_add next_id 1;
-            rev_children = [];
-          }
-        in
-        stack := frame :: !stack;
-        let finish () =
-          let stop = st.now () in
-          (* tolerate install/uninstall mid-span: pop up to our frame if it
-             is still there, otherwise drop the record silently *)
-          let rec pop = function
-            | f :: rest when f == frame -> Some rest
-            | _ :: rest -> pop rest
-            | [] -> None
-          in
-          match pop !stack with
-          | None -> ()
-          | Some rest ->
-              stack := rest;
-              let span =
-                {
-                  name = frame.fname;
-                  start = frame.fstart;
-                  stop;
-                  children = List.rev frame.rev_children;
-                }
-              in
-              (match (!stack, st.sink) with
-              | parent :: _, _ -> parent.rev_children <- span :: parent.rev_children
-              | [], Some sink -> Mutex.protect sink_lock (fun () -> sink span)
-              | [], None -> ())
-        in
-        Fun.protect ~finally:finish f
-
-  (* (trace id, span id) of this domain's innermost open span: the trace id
+  (* (trace id, span id) of this domain's innermost open frame: the trace id
      is the root frame's id, the span id the innermost frame's. (0, 0) when
-     no span is open on this domain (or tracing is off, since with_span
-     opens no frame then). *)
+     no span is open on this domain: ids are only minted while a sink is
+     installed. *)
   let ids () =
-    match !(Domain.DLS.get stack_key) with
+    match !(Domain.DLS.get stack) with
     | [] -> (0, 0)
     | top :: _ as stack ->
         let rec root = function
@@ -650,6 +588,283 @@ module Trace = struct
           | [] -> top
         in
         ((root stack).fid, top.fid)
+end
+
+module Event = struct
+  (* Timestamped, named events with JSON fields, kept in a lock-free
+     bounded ring (last [capacity] survive) and optionally streamed to a
+     JSONL sink. Emission is OFF by default — [emit] with no ring enabled
+     is one atomic load and a branch, so instrumented hot paths cost
+     ~nothing until someone is recording. *)
+  type t = {
+    ts : float;
+    name : string;
+    trace_id : int;
+    span_id : int;
+    fields : (string * Json.t) list;
+  }
+
+  let c_emitted = Metrics.counter "obs.events_emitted"
+  let c_dropped = Metrics.counter "obs.events_dropped"
+
+  type ring = {
+    slots : t option Atomic.t array;
+    seq : int Atomic.t; (* events ever emitted into this ring *)
+    sink : (t -> unit) option;
+  }
+
+  let state : ring option Atomic.t = Atomic.make None
+  let sink_lock = Mutex.create ()
+
+  let enabled () = Atomic.get state <> None
+
+  let enable ?(capacity = 4096) ?sink () =
+    if capacity <= 0 then invalid_arg "Obs.Event.enable: capacity must be positive";
+    Atomic.set state
+      (Some
+         {
+           slots = Array.init capacity (fun _ -> Atomic.make None);
+           seq = Atomic.make 0;
+           sink;
+         })
+
+  let disable () = Atomic.set state None
+
+  (* Lock-free: a slot index is claimed with one fetch-and-add on [seq],
+     then the slot pointer is swapped to the new (immutable) record — a
+     concurrent reader sees either the old record or the new one, never a
+     torn mix. An emission beyond capacity overwrites the oldest slot, so
+     drops are exactly max(0, emitted - capacity) and [c_dropped] counts
+     them one-for-one. *)
+  let emit ?(fields = []) name =
+    match Atomic.get state with
+    | None -> ()
+    | Some r ->
+        let trace_id, span_id = Frame.ids () in
+        let ev = { ts = Clock.now (); name; trace_id; span_id; fields } in
+        let i = Atomic.fetch_and_add r.seq 1 in
+        let cap = Array.length r.slots in
+        Atomic.set r.slots.(i mod cap) (Some ev);
+        Metrics.incr c_emitted;
+        if i >= cap then Metrics.incr c_dropped;
+        (match r.sink with
+        | None -> ()
+        | Some f -> Mutex.protect sink_lock (fun () -> f ev))
+
+  let emitted () =
+    match Atomic.get state with None -> 0 | Some r -> Atomic.get r.seq
+
+  (* Oldest-first surviving contents. Quiescent reads (after emitters have
+     joined) see exactly the last min(emitted, capacity) events; a read
+     racing emitters may see a slot's previous occupant instead — each slot
+     is still a whole record. *)
+  let recent () =
+    match Atomic.get state with
+    | None -> []
+    | Some r ->
+        let cap = Array.length r.slots in
+        let n = Atomic.get r.seq in
+        let lo = if n > cap then n - cap else 0 in
+        List.filter_map
+          (fun k -> Atomic.get r.slots.((lo + k) mod cap))
+          (List.init (n - lo) Fun.id)
+
+  let to_json ev =
+    Json.Obj
+      [
+        ("ts", Json.Float ev.ts);
+        ("name", Json.String ev.name);
+        ("trace", Json.Int ev.trace_id);
+        ("span", Json.Int ev.span_id);
+        ("fields", Json.Obj ev.fields);
+      ]
+
+  let of_json j =
+    match j with
+    | Json.Obj _ -> (
+        let num = function
+          | Some (Json.Float f) -> Some f
+          | Some (Json.Int i) -> Some (float_of_int i)
+          | _ -> None
+        in
+        let int = function Some (Json.Int i) -> i | _ -> 0 in
+        match (num (Json.member "ts" j), Json.member "name" j) with
+        | Some ts, Some (Json.String name) ->
+            Ok
+              {
+                ts;
+                name;
+                trace_id = int (Json.member "trace" j);
+                span_id = int (Json.member "span" j);
+                fields =
+                  (match Json.member "fields" j with
+                  | Some (Json.Obj kvs) -> kvs
+                  | _ -> []);
+              }
+        | None, _ -> Error "event is missing a numeric \"ts\""
+        | _, _ -> Error "event is missing a string \"name\"")
+    | _ -> Error "event is not a JSON object"
+
+  let jsonl_sink oc ev =
+    output_string oc (Json.to_string (to_json ev));
+    output_char oc '\n'
+
+  let field name ev = List.assoc_opt name ev.fields
+end
+
+module Trace = struct
+  type span = Frame.span = {
+    name : string;
+    start : float;
+    stop : float;
+    children : span list;
+  }
+
+  let duration s = s.stop -. s.start
+
+  type sink = span -> unit
+
+  (* Frame ids are minted process-wide so (root id, open-frame id) works as
+     a (trace id, span id) pair for correlating events with spans; 0 is
+     reserved for "no tracing active". *)
+  let next_id = Atomic.make 1
+
+  let installed : sink option ref = ref None
+
+  (* Root spans reach the sink under this lock, so any sink (the collector
+     included) may be driven from parallel code. *)
+  let sink_lock = Mutex.create ()
+
+  let enabled () = !installed <> None
+
+  let install ?now sink =
+    Option.iter Clock.set now;
+    installed := Some sink;
+    Domain.DLS.get Frame.stack := []
+
+  let uninstall () =
+    installed := None;
+    Domain.DLS.get Frame.stack := []
+
+  let push name op =
+    let stack = Domain.DLS.get Frame.stack in
+    let fid = if enabled () then Atomic.fetch_and_add next_id 1 else 0 in
+    let frame =
+      { Frame.fname = name; fstart = Clock.now (); fid; rev_children = []; op }
+    in
+    stack := frame :: !stack;
+    (stack, frame)
+
+  (* Pop up to [frame] and, if it is a span, hand it to its parent or the
+     sink. Tolerates install/uninstall mid-span: a frame no longer on the
+     stack is dropped silently. *)
+  let pop stack (frame : Frame.t) stop =
+    let rec drop = function
+      | f :: rest when f == frame -> Some rest
+      | _ :: rest -> drop rest
+      | [] -> None
+    in
+    match drop !stack with
+    | None -> ()
+    | Some rest ->
+        stack := rest;
+        if frame.fid <> 0 then
+          let span =
+            {
+              name = frame.fname;
+              start = frame.fstart;
+              stop;
+              children = List.rev frame.rev_children;
+            }
+          in
+          match (rest, !installed) with
+          | parent :: _, _ -> parent.rev_children <- span :: parent.rev_children
+          | [], Some sink -> Mutex.protect sink_lock (fun () -> sink span)
+          | [], None -> ()
+
+  let with_span name f =
+    match !installed with
+    | None -> f () (* the whole cost of disabled tracing: one load + branch *)
+    | Some _ ->
+        let stack, frame = push name None in
+        Fun.protect ~finally:(fun () -> pop stack frame (Clock.now ())) f
+
+  let ids = Frame.ids
+
+  (* ---- ops ---- *)
+
+  let slow_s = 1.0
+
+  let c_ops = Metrics.counter "obs.ops_recorded"
+  let c_slow = Metrics.counter "obs.slow_ops"
+
+  (* Latency histograms are per subsystem (the op name up to the first
+     dot): pquery.rank -> pquery.latency, store.save -> store.latency.
+     The three core ones are registered eagerly so every snapshot carries
+     them even before the first operation. *)
+  let latency_hist name =
+    let prefix =
+      match String.index_opt name '.' with
+      | Some i -> String.sub name 0 i
+      | None -> name
+    in
+    Metrics.histogram (prefix ^ ".latency")
+
+  let _ = Metrics.histogram "pquery.latency"
+  let _ = Metrics.histogram "integrate.latency"
+  let _ = Metrics.histogram "store.latency"
+
+  (* The op event is emitted before the frame pops, so it carries the op's
+     own (trace id, span id). *)
+  let op ?(detail = "") name f =
+    let record = { Frame.detail; rev_notes = []; outcome = None } in
+    let stack, frame = push name (Some record) in
+    let finish default_outcome =
+      let stop = Clock.now () in
+      let duration = stop -. frame.fstart in
+      let outcome = Option.value ~default:default_outcome record.outcome in
+      Metrics.observe (latency_hist name) (duration *. 1000.);
+      Metrics.incr c_ops;
+      let slow = duration >= slow_s in
+      if slow then Metrics.incr c_slow;
+      if Event.enabled () then begin
+        let base =
+          ("dur_ms", Json.Float (duration *. 1000.))
+          :: ("outcome", Json.String outcome)
+          :: (if detail = "" then [] else [ ("detail", Json.String detail) ])
+        in
+        Event.emit ~fields:(base @ List.rev record.rev_notes) name;
+        if slow then
+          Event.emit
+            ~fields:
+              [
+                ("op", Json.String name);
+                ("dur_ms", Json.Float (duration *. 1000.));
+                ("outcome", Json.String outcome);
+              ]
+            "slow_op"
+      end;
+      pop stack frame stop
+    in
+    match f () with
+    | v ->
+        finish "ok";
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        finish ("error:" ^ Printexc.to_string e);
+        Printexc.raise_with_backtrace e bt
+
+  let current_op () =
+    List.find_map (fun (f : Frame.t) -> f.op) !(Domain.DLS.get Frame.stack)
+
+  let note key v =
+    match current_op () with
+    | Some r -> r.rev_notes <- (key, v) :: r.rev_notes
+    | None -> ()
+
+  let outcome s =
+    match current_op () with Some r -> r.outcome <- Some s | None -> ()
 
   let collector () =
     (* roots only ever arrive under [sink_lock]; the read side takes the
@@ -724,335 +939,5 @@ module Trace = struct
       [
         ("traceEvents", Json.List (List.rev rev_events));
         ("displayTimeUnit", Json.String "ms");
-      ]
-end
-
-module Event = struct
-  (* The structured half of the flight recorder: timestamped, named events
-     with JSON fields, kept in a lock-free bounded ring (last [capacity]
-     survive) and optionally streamed to a JSONL sink. Emission is OFF by
-     default — [emit] with no ring enabled is one atomic load and a branch,
-     so instrumented hot paths cost ~nothing until someone is recording. *)
-  type t = {
-    ts : float;
-    name : string;
-    trace_id : int;
-    span_id : int;
-    fields : (string * Json.t) list;
-  }
-
-  let c_emitted = Metrics.counter "obs.events_emitted"
-  let c_dropped = Metrics.counter "obs.events_dropped"
-
-  type ring = {
-    slots : t option Atomic.t array;
-    seq : int Atomic.t; (* events ever emitted into this ring *)
-    sink : (t -> unit) option;
-  }
-
-  let state : ring option Atomic.t = Atomic.make None
-  let sink_lock = Mutex.create ()
-
-  let enabled () = Atomic.get state <> None
-
-  let enable ?(capacity = 4096) ?sink () =
-    if capacity <= 0 then invalid_arg "Obs.Event.enable: capacity must be positive";
-    Atomic.set state
-      (Some
-         {
-           slots = Array.init capacity (fun _ -> Atomic.make None);
-           seq = Atomic.make 0;
-           sink;
-         })
-
-  let disable () = Atomic.set state None
-
-  (* Lock-free: a slot index is claimed with one fetch-and-add on [seq],
-     then the slot pointer is swapped to the new (immutable) record — a
-     concurrent reader sees either the old record or the new one, never a
-     torn mix. An emission beyond capacity overwrites the oldest slot, so
-     drops are exactly max(0, emitted - capacity) and [c_dropped] counts
-     them one-for-one. *)
-  let emit ?(fields = []) name =
-    match Atomic.get state with
-    | None -> ()
-    | Some r ->
-        let trace_id, span_id = Trace.ids () in
-        let ev = { ts = Clock.now (); name; trace_id; span_id; fields } in
-        let i = Atomic.fetch_and_add r.seq 1 in
-        let cap = Array.length r.slots in
-        Atomic.set r.slots.(i mod cap) (Some ev);
-        Metrics.incr c_emitted;
-        if i >= cap then Metrics.incr c_dropped;
-        (match r.sink with
-        | None -> ()
-        | Some f -> Mutex.protect sink_lock (fun () -> f ev))
-
-  let emitted () =
-    match Atomic.get state with None -> 0 | Some r -> Atomic.get r.seq
-
-  (* Oldest-first surviving contents. Quiescent reads (after emitters have
-     joined) see exactly the last min(emitted, capacity) events; a read
-     racing emitters may see a slot's previous occupant instead — each slot
-     is still a whole record. *)
-  let recent () =
-    match Atomic.get state with
-    | None -> []
-    | Some r ->
-        let cap = Array.length r.slots in
-        let n = Atomic.get r.seq in
-        let lo = if n > cap then n - cap else 0 in
-        List.filter_map
-          (fun k -> Atomic.get r.slots.((lo + k) mod cap))
-          (List.init (n - lo) Fun.id)
-
-  let to_json ev =
-    Json.Obj
-      [
-        ("ts", Json.Float ev.ts);
-        ("name", Json.String ev.name);
-        ("trace", Json.Int ev.trace_id);
-        ("span", Json.Int ev.span_id);
-        ("fields", Json.Obj ev.fields);
-      ]
-
-  let of_json j =
-    match j with
-    | Json.Obj _ -> (
-        let num = function
-          | Some (Json.Float f) -> Some f
-          | Some (Json.Int i) -> Some (float_of_int i)
-          | _ -> None
-        in
-        let int = function Some (Json.Int i) -> i | _ -> 0 in
-        match (num (Json.member "ts" j), Json.member "name" j) with
-        | Some ts, Some (Json.String name) ->
-            Ok
-              {
-                ts;
-                name;
-                trace_id = int (Json.member "trace" j);
-                span_id = int (Json.member "span" j);
-                fields =
-                  (match Json.member "fields" j with
-                  | Some (Json.Obj kvs) -> kvs
-                  | _ -> []);
-              }
-        | None, _ -> Error "event is missing a numeric \"ts\""
-        | _, _ -> Error "event is missing a string \"name\"")
-    | _ -> Error "event is not a JSON object"
-
-  let jsonl_sink oc ev =
-    output_string oc (Json.to_string (to_json ev));
-    output_char oc '\n'
-
-  let field name ev = List.assoc_opt name ev.fields
-end
-
-module Recorder = struct
-  (* Per-operation flight records: what ran, for how long, and how it came
-     out. [run] brackets an operation; the body (and anything it calls on
-     the same domain) annotates the in-flight record with [note]/[outcome].
-     Completion feeds the op's latency histogram ("<subsystem>.latency",
-     milliseconds), lands the record in a bounded ring, and — when events
-     are enabled — emits an event named after the op carrying dur_ms,
-     outcome, and the notes. Records over the slow threshold are force-kept
-     in a separate slowest-ops list so a burst of fast chatter cannot evict
-     the outliers an operator came to see. *)
-  type record = {
-    op : string;
-    detail : string;
-    started : float;
-    duration : float; (* seconds *)
-    outcome : string;
-    slow : bool;
-    trace_id : int;
-    span_id : int;
-    fields : (string * Json.t) list;
-  }
-
-  type inflight = {
-    iop : string;
-    idetail : string;
-    istart : float;
-    mutable rev_fields : (string * Json.t) list;
-    mutable ioutcome : string option;
-  }
-
-  (* in-flight stacks are domain-local, like Trace's span stacks *)
-  let inflight_key : inflight list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  let slow_keep = 16
-
-  type state = {
-    lock : Mutex.t;
-    mutable slots : record option array;
-    mutable next : int;
-    mutable slow_s : float;
-    mutable slowest : record list; (* duration-descending, <= slow_keep *)
-  }
-
-  let st =
-    {
-      lock = Mutex.create ();
-      slots = Array.make 256 None;
-      next = 0;
-      slow_s = 1.0;
-      slowest = [];
-    }
-
-  let c_ops = Metrics.counter "obs.ops_recorded"
-  let c_slow = Metrics.counter "obs.slow_ops"
-
-  (* Latency histograms are per subsystem (the op name up to the first
-     dot): pquery.rank -> pquery.latency, store.save -> store.latency.
-     The three core ones are registered eagerly so every snapshot carries
-     them even before the first operation. *)
-  let latency_hist op =
-    let prefix =
-      match String.index_opt op '.' with
-      | Some i -> String.sub op 0 i
-      | None -> op
-    in
-    Metrics.histogram (prefix ^ ".latency")
-
-  let _ = Metrics.histogram "pquery.latency"
-  let _ = Metrics.histogram "integrate.latency"
-  let _ = Metrics.histogram "store.latency"
-
-  let configure ?capacity ?slow_s () =
-    Mutex.protect st.lock @@ fun () ->
-    (match capacity with
-    | Some c when c > 0 ->
-        st.slots <- Array.make c None;
-        st.next <- 0
-    | Some _ -> invalid_arg "Obs.Recorder.configure: capacity must be positive"
-    | None -> ());
-    match slow_s with Some s -> st.slow_s <- s | None -> ()
-
-  let slow_threshold () = Mutex.protect st.lock (fun () -> st.slow_s)
-
-  let note key v =
-    match !(Domain.DLS.get inflight_key) with
-    | [] -> ()
-    | fr :: _ -> fr.rev_fields <- (key, v) :: fr.rev_fields
-
-  let outcome s =
-    match !(Domain.DLS.get inflight_key) with
-    | [] -> ()
-    | fr :: _ -> fr.ioutcome <- Some s
-
-  let keep r =
-    Mutex.protect st.lock @@ fun () ->
-    st.slots.(st.next mod Array.length st.slots) <- Some r;
-    st.next <- st.next + 1;
-    if r.slow then begin
-      let rec insert = function
-        | [] -> [ r ]
-        | x :: _ as l when r.duration >= x.duration -> r :: l
-        | x :: tl -> x :: insert tl
-      in
-      st.slowest <- List.filteri (fun i _ -> i < slow_keep) (insert st.slowest)
-    end
-
-  let run ~op ?(detail = "") f =
-    let stack = Domain.DLS.get inflight_key in
-    let fr =
-      {
-        iop = op;
-        idetail = detail;
-        istart = Clock.now ();
-        rev_fields = [];
-        ioutcome = None;
-      }
-    in
-    stack := fr :: !stack;
-    let finish default_outcome =
-      let stop = Clock.now () in
-      let rec pop = function
-        | g :: rest when g == fr -> rest
-        | g :: rest -> g :: pop rest
-        | [] -> []
-      in
-      stack := pop !stack;
-      let duration = stop -. fr.istart in
-      let outcome = Option.value ~default:default_outcome fr.ioutcome in
-      let trace_id, span_id = Trace.ids () in
-      Metrics.observe (latency_hist fr.iop) (duration *. 1000.);
-      Metrics.incr c_ops;
-      let slow = duration >= Mutex.protect st.lock (fun () -> st.slow_s) in
-      if slow then Metrics.incr c_slow;
-      let fields = List.rev fr.rev_fields in
-      let r =
-        {
-          op = fr.iop;
-          detail = fr.idetail;
-          started = fr.istart;
-          duration;
-          outcome;
-          slow;
-          trace_id;
-          span_id;
-          fields;
-        }
-      in
-      keep r;
-      if Event.enabled () then begin
-        let base =
-          ("dur_ms", Json.Float (duration *. 1000.))
-          :: ("outcome", Json.String outcome)
-          ::
-          (if fr.idetail = "" then [] else [ ("detail", Json.String fr.idetail) ])
-        in
-        Event.emit ~fields:(base @ fields) fr.iop;
-        if slow then
-          Event.emit
-            ~fields:
-              [
-                ("op", Json.String fr.iop);
-                ("dur_ms", Json.Float (duration *. 1000.));
-                ("outcome", Json.String outcome);
-              ]
-            "slow_op"
-      end
-    in
-    match f () with
-    | v ->
-        finish "ok";
-        v
-    | exception e ->
-        finish ("error:" ^ Printexc.to_string e);
-        raise e
-
-  (* newest first *)
-  let recent ?n () =
-    let all =
-      Mutex.protect st.lock @@ fun () ->
-      let cap = Array.length st.slots in
-      let total = st.next in
-      let lo = if total > cap then total - cap else 0 in
-      List.filter_map
-        (fun k -> st.slots.((total - 1 - k) mod cap))
-        (List.init (total - lo) Fun.id)
-    in
-    match n with
-    | None -> all
-    | Some n -> List.filteri (fun i _ -> i < n) all
-
-  let slowest () = Mutex.protect st.lock (fun () -> st.slowest)
-
-  let record_to_json r =
-    Json.Obj
-      [
-        ("op", Json.String r.op);
-        ("detail", Json.String r.detail);
-        ("started", Json.Float r.started);
-        ("dur_ms", Json.Float (r.duration *. 1000.));
-        ("outcome", Json.String r.outcome);
-        ("slow", Json.Bool r.slow);
-        ("trace", Json.Int r.trace_id);
-        ("span", Json.Int r.span_id);
-        ("fields", Json.Obj r.fields);
       ]
 end

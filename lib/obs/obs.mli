@@ -1,6 +1,7 @@
 (** Telemetry for the whole stack.
 
-    Stdlib-only so any layer can link it:
+    Its only dependency beyond the stdlib is [unix] (the default clock), so
+    any layer can link it:
 
     - {!Metrics}: named counters and histograms in a registry, with
       snapshot/reset and text/JSON rendering. Counters are always on —
@@ -8,16 +9,17 @@
       count unconditionally, and they count {e exactly} even from
       parallel domains. Histograms carry streaming p50/p90/p99 via
       {!Quantile}.
-    - {!Trace}: nested timing spans with an injectable clock and a
-      pluggable sink. The default is {e no sink}: [with_span name f] is
-      then a single load-and-branch around [f ()], so instrumented code
-      costs ~nothing when tracing is off. Span stacks are domain-local.
-      Completed trees export to Chrome trace-event JSON ({!Trace.to_chrome}).
-    - {!Event}: the flight recorder's structured event stream — named,
-      timestamped events in a lock-free bounded ring, optionally mirrored
-      to a JSONL sink. Off by default; emission is then one atomic load.
-    - {!Recorder}: per-operation flight records (op, detail, duration,
-      outcome, annotations) in a bounded ring with a slow-op threshold.
+    - {!Trace}: nested timing spans with a pluggable sink, and the op
+      bracket {!Trace.op} every library operation runs in. The default is
+      {e no sink}: [with_span name f] is then a single load-and-branch
+      around [f ()], so instrumented code costs ~nothing when tracing is
+      off. Span stacks are domain-local. Completed trees export to Chrome
+      trace-event JSON ({!Trace.to_chrome}).
+    - {!Event}: the structured event stream — named, timestamped events
+      in a lock-free bounded ring, optionally mirrored to a JSONL sink.
+      Off by default; emission is then one atomic load. Every finished op
+      emits one.
+    - {!Clock}: the one clock all of the above read.
     - {!Json}: the minimal JSON everything renders to, including a parser
       so snapshot and event files can be validated without external
       dependencies.
@@ -50,10 +52,10 @@ module Json : sig
 end
 
 module Clock : sig
-  (** The process clock behind {!Event} timestamps and {!Recorder}
-      durations. Defaults to [Sys.time] (CPU seconds — the only stdlib
-      clock); the CLI and bench install [Unix.gettimeofday] at startup,
-      tests may install a fake. Reads from spawned domains are
+  (** The process clock, in seconds: span bounds, op durations, {!Event}
+      timestamps and [Resilience.Budget] deadlines all read it. Defaults
+      to [Unix.gettimeofday] (wall time); a benchmark may install a
+      monotonic clock, a test a fake one. Reads from spawned domains are
       well-defined (the slot is atomic). *)
 
   val set : (unit -> float) -> unit
@@ -163,7 +165,7 @@ module Metrics : sig
 end
 
 module Trace : sig
-  (** A completed span: wall-clock interval plus completed sub-spans in
+  (** A completed span: {!Clock} interval plus completed sub-spans in
       start order. *)
   type span = { name : string; start : float; stop : float; children : span list }
 
@@ -176,10 +178,8 @@ module Trace : sig
   (** No sink installed ⇒ {!with_span} runs its thunk directly. *)
   val enabled : unit -> bool
 
-  (** [install ?now sink] turns tracing on. [now] is the clock, in
-      seconds; the default is [Sys.time] (CPU time — the only stdlib
-      clock), so real callers pass a monotonic or wall clock such as
-      [Unix.gettimeofday]. Resets the span stack. *)
+  (** [install ?now sink] turns tracing on and resets this domain's span
+      stack. [now], when given, is installed as the {!Clock}. *)
   val install : ?now:(unit -> float) -> sink -> unit
 
   val uninstall : unit -> unit
@@ -196,6 +196,30 @@ module Trace : sig
       parent closing). Sink invocations are serialised by an internal
       mutex, so {!collector} is safe to use from parallel code. *)
   val with_span : string -> (unit -> 'a) -> 'a
+
+  (** [op ?detail name f] brackets one library operation ([pquery.rank],
+      [integrate], [store.save], …). It opens the span [name] exactly as
+      {!with_span} does, and always, sink or not:
+      - times [f] with {!Clock.now} and feeds the histogram
+        ["<subsystem>.latency"] in milliseconds, where the subsystem is
+        [name] up to its first ['.'];
+      - counts [obs.ops_recorded], and [obs.slow_ops] when the op took
+        1 s or more;
+      - when {!Event}s are on, emits an event named [name] with fields
+        [dur_ms], [outcome], [detail] (omitted when empty), then the
+        {!note}s in call order — plus a ["slow_op"] event for a slow op.
+
+      The outcome is ["ok"], ["error:<exn>"] when [f] raises (the
+      exception is re-raised), or the last {!outcome} override. *)
+  val op : ?detail:string -> string -> (unit -> 'a) -> 'a
+
+  (** [note key v] annotates the innermost op open on this domain (no-op
+      outside {!op}). Repeated keys all appear, in call order. *)
+  val note : string -> Json.t -> unit
+
+  (** [outcome s] overrides the innermost open op's outcome, e.g. for an
+      error returned as a value rather than raised. *)
+  val outcome : string -> unit
 
   (** [ids ()] is [(trace_id, span_id)] of this domain's innermost open
       span: the trace id names the root span of the open tree, the span
@@ -227,7 +251,7 @@ module Trace : sig
 end
 
 module Event : sig
-  (** Structured flight-recorder events. Emission is {e off} by default
+  (** Structured events. Emission is {e off} by default
       and [emit] is then one atomic load and a branch, so call sites can
       stay unconditional. [enable] installs a lock-free bounded ring
       keeping the last [capacity] events (and optionally mirrors every
@@ -278,61 +302,4 @@ module Event : sig
 
   (** [field name ev] is the field's value, if present. *)
   val field : string -> t -> Json.t option
-end
-
-module Recorder : sig
-  (** Per-operation flight records — the "what were the last N queries
-      and why were they slow" layer. [run ~op f] brackets an operation:
-      it times [f] with {!Clock}, lets the body annotate the in-flight
-      record with {!note}/{!outcome} (domain-local, like spans), then
-      lands the completed record in a bounded ring, feeds the op's
-      latency histogram (["<subsystem>.latency"], milliseconds — the op
-      name up to its first ['.']), and, when {!Event} recording is on,
-      emits an event named after the op with [dur_ms]/[outcome]/[detail]
-      plus the notes. Records at or over the slow threshold are
-      additionally kept in a small slowest-ops list that fast chatter
-      cannot evict, counted by [obs.slow_ops] and flagged by a
-      ["slow_op"] event. *)
-
-  type record = {
-    op : string;  (** e.g. ["pquery.rank"] *)
-    detail : string;  (** e.g. the query source *)
-    started : float;
-    duration : float;  (** seconds *)
-    outcome : string;  (** ["ok"], ["error:..."], or a {!outcome} override *)
-    slow : bool;
-    trace_id : int;
-    span_id : int;
-    fields : (string * Json.t) list;
-  }
-
-  (** [run ~op ?detail f] records [f ()]'s execution; exceptions are
-      recorded as [error:<exn>] and re-raised. *)
-  val run : op:string -> ?detail:string -> (unit -> 'a) -> 'a
-
-  (** [note key v] annotates the innermost in-flight record on this
-      domain (no-op outside [run]). Repeated keys all appear, in call
-      order. *)
-  val note : string -> Json.t -> unit
-
-  (** Override the recorded outcome (e.g. an error turned into a result
-      value rather than raised). *)
-  val outcome : string -> unit
-
-  (** [configure ?capacity ?slow_s ()] resizes the ring (clearing it)
-      and/or sets the slow threshold in seconds (default: 256 records,
-      1.0 s). *)
-  val configure : ?capacity:int -> ?slow_s:float -> unit -> unit
-
-  val slow_threshold : unit -> float
-
-  (** Completed records, newest first, at most [n] (default all
-      surviving). *)
-  val recent : ?n:int -> unit -> record list
-
-  (** The slowest records seen (duration descending, bounded), kept
-      independently of the ring. *)
-  val slowest : unit -> record list
-
-  val record_to_json : record -> Json.t
 end

@@ -26,7 +26,7 @@ let c_static_pruned = Obs.Metrics.counter "pquery.static_pruned"
 
 let c_degraded = Obs.Metrics.counter "pquery.degraded"
 
-(* registered by Naive; interned here so flight records can report the
+(* registered by Naive; interned here so op notes can report the
    per-query worlds delta without a by-name lookup on the hot path *)
 let c_worlds_enumerated = Obs.Metrics.counter "pquery.worlds_enumerated"
 
@@ -63,8 +63,7 @@ let plan_of ~summary ?source expr =
 let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
     ?(jobs = 1) ?top_k ?top_k_tolerance doc query =
   Obs.Metrics.incr c_ranks;
-  Obs.Trace.with_span "pquery.rank" @@ fun () ->
-  Obs.Recorder.run ~op:"pquery.rank" ~detail:(Eval.compiled_source query) @@ fun () ->
+  Obs.Trace.op "pquery.rank" ~detail:(Eval.compiled_source query) @@ fun () ->
   (match top_k with
   | Some k when k <= 0 -> raise (Cannot_answer "top_k must be positive")
   | _ -> ());
@@ -84,13 +83,13 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
     && match summary with Some s -> statically_empty s expr | None -> false
   then begin
     Obs.Metrics.incr c_static_pruned;
-    Obs.Recorder.note "path" (Obs.Json.String "static_pruned");
+    Obs.Trace.note "path" (Obs.Json.String "static_pruned");
     []
   end
   else
   let enumerate ~jobs () =
     Obs.Metrics.incr c_enumerate;
-    Obs.Recorder.note "path" (Obs.Json.String "enumerate");
+    Obs.Trace.note "path" (Obs.Json.String "enumerate");
     Obs.Trace.with_span "enumerate" @@ fun () ->
     (* worlds walked by *this* query, as a counter delta — exact in the
        common one-query-at-a-time case, an aggregate-rate approximation
@@ -103,14 +102,14 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
       with Naive.Too_many_worlds n ->
         raise (Cannot_answer (Fmt.str "document has %g possible worlds; too many to enumerate" n))
     in
-    Obs.Recorder.note "worlds"
+    Obs.Trace.note "worlds"
       (Obs.Json.Int (Obs.Metrics.count c_worlds_enumerated - w0));
     answers
   in
   let direct () =
     let answers = Obs.Trace.with_span "direct" (fun () -> Direct.rank_expr doc expr) in
     Obs.Metrics.incr c_direct;
-    Obs.Recorder.note "path" (Obs.Json.String "direct");
+    Obs.Trace.note "path" (Obs.Json.String "direct");
     truncate top_k answers
   in
   let answers =
@@ -128,7 +127,7 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
             ~source:(Eval.compiled_source query)
             expr
         in
-        Obs.Recorder.note "plan" (Imprecise_analyze.Plan.to_json plan);
+        Obs.Trace.note "plan" (Imprecise_analyze.Plan.to_json plan);
         if Obs.Event.enabled () then
           Obs.Event.emit
             ~fields:
@@ -158,7 +157,7 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
     | Sample { n; seed } ->
         if n <= 0 then raise (Cannot_answer "sample size must be positive");
         Obs.Metrics.incr c_sample;
-        Obs.Recorder.note "path" (Obs.Json.String "sample");
+        Obs.Trace.note "path" (Obs.Json.String "sample");
         Obs.Trace.with_span "sample" @@ fun () ->
         let worlds, _ =
           Imprecise_pxml.Worlds.sample_many ~n (Imprecise_prng.Prng.make seed) doc
@@ -178,7 +177,7 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
              (Hashtbl.fold (fun value prob acc -> { Answer.value; prob } :: acc) tbl []))
   in
   Obs.Metrics.incr ~by:(List.length answers) c_answers;
-  Obs.Recorder.note "answers" (Obs.Json.Int (List.length answers));
+  Obs.Trace.note "answers" (Obs.Json.Int (List.length answers));
   answers
 
 let rank ?budget ?strategy ?static_check ?world_limit ?jobs ?top_k ?top_k_tolerance doc
@@ -207,12 +206,11 @@ let sample_tolerance =
   sqrt (log (2. /. (1. -. sample_confidence)) /. (2. *. float_of_int sample_n))
 
 let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
-  (* The graded record is the audit trail for a degraded answer: the
-     ladder's fallbacks land here as "degraded_from" notes (each failed
-     rung closed its own pquery.rank record before the fallback fired),
-     and the final grade is noted below. *)
-  Obs.Trace.with_span "pquery.rank_graded" @@ fun () ->
-  Obs.Recorder.run ~op:"pquery.rank_graded" ~detail:query @@ fun () ->
+  (* The graded op is the audit trail for a degraded answer: the ladder's
+     fallbacks land here as "degraded_from" notes (each failed rung closed
+     its own pquery.rank op before the fallback fired), and the final
+     grade is noted below. *)
+  Obs.Trace.op "pquery.rank_graded" ~detail:query @@ fun () ->
   let compiled = compile query in
   (* Sub-budgets are carved eagerly: the exact rung gets 60% of whatever
      deadline/pool the caller granted, the top-k rung 80% — tripping a
@@ -252,11 +250,11 @@ let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
     ]
   in
   let graded = Degrade.ladder ~degradable rungs in
-  Obs.Recorder.note "grade"
+  Obs.Trace.note "grade"
     (Obs.Json.String (Fmt.str "%a" Degrade.pp_grade graded.Degrade.grade));
   if not (Degrade.is_exact graded.Degrade.grade) then begin
     Obs.Metrics.incr c_degraded;
-    Obs.Recorder.outcome "degraded"
+    Obs.Trace.outcome "degraded"
   end;
   graded
 

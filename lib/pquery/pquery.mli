@@ -144,7 +144,7 @@ val rank_cached :
     {!Imprecise_analyze.Plan}). Exposed for [imprecise check --plan] and
     the certification harnesses; [rank] computes it internally (span
     [analyze.plan], histogram [analyze.plan] in ms, event [pquery.plan],
-    flight-record note ["plan"]). *)
+    op note ["plan"]). *)
 val plan : Pxml.doc -> string -> Imprecise_analyze.Plan.t
 
 (** [used_strategy doc query] reports which evaluator {!rank} with [Auto]

@@ -5,8 +5,7 @@ type reason = Deadline | Worlds | Cancelled
 exception Exceeded of reason
 
 type t = {
-  deadline : float option; (* absolute, in [clock] units *)
-  clock : unit -> float;
+  deadline : float option; (* absolute, in [Obs.Clock] seconds *)
   worlds : int Atomic.t option; (* work units remaining *)
   (* raised by the first trip so sibling domains stop at their next tick *)
   cancelled : bool Atomic.t;
@@ -35,7 +34,7 @@ let counter_of = function
   | Worlds -> c_worlds
   | Cancelled -> c_cancelled
 
-let create ?timeout_ms ?max_worlds ?(clock = Unix.gettimeofday) () =
+let create ?timeout_ms ?max_worlds () =
   (match timeout_ms with
   | Some ms when ms <= 0 -> invalid_arg "Budget.create: timeout_ms must be positive"
   | _ -> ());
@@ -43,8 +42,8 @@ let create ?timeout_ms ?max_worlds ?(clock = Unix.gettimeofday) () =
   | Some n when n <= 0 -> invalid_arg "Budget.create: max_worlds must be positive"
   | _ -> ());
   {
-    deadline = Option.map (fun ms -> clock () +. (float_of_int ms /. 1000.)) timeout_ms;
-    clock;
+    deadline =
+      Option.map (fun ms -> Obs.Clock.now () +. (float_of_int ms /. 1000.)) timeout_ms;
     worlds = Option.map Atomic.make max_worlds;
     cancelled = Atomic.make false;
     tripped = Atomic.make None;
@@ -74,7 +73,7 @@ let rec check t =
   | None -> ());
   if Atomic.get t.cancelled then trip t Cancelled;
   (match t.deadline with
-  | Some d when t.clock () > d -> trip t Deadline
+  | Some d when Obs.Clock.now () > d -> trip t Deadline
   | _ -> ());
   match t.parent with Some p -> check p | None -> ()
 
@@ -103,21 +102,25 @@ let rec exceeded t =
   | None ->
       if Atomic.get t.cancelled then Some Cancelled
       else if
-        match t.deadline with Some d -> t.clock () > d | None -> false
+        match t.deadline with Some d -> Obs.Clock.now () > d | None -> false
       then Some Deadline
       else if match t.worlds with Some left -> Atomic.get left <= 0 | None -> false
       then Some Worlds
       else Option.bind t.parent exceeded
 
 let remaining_ms t =
-  Option.map (fun d -> (d -. t.clock ()) *. 1000.) t.deadline
+  Option.map (fun d -> (d -. Obs.Clock.now ()) *. 1000.) t.deadline
 
 let remaining_worlds t = Option.map (fun a -> max 0 (Atomic.get a)) t.worlds
 
 let sub ?(fraction = 0.5) t =
   let fraction = Float.max 0. (Float.min 1. fraction) in
   let deadline =
-    Option.map (fun d -> t.clock () +. (fraction *. Float.max 0. (d -. t.clock ()))) t.deadline
+    Option.map
+      (fun d ->
+        let now = Obs.Clock.now () in
+        now +. (fraction *. Float.max 0. (d -. now)))
+      t.deadline
   in
   let worlds =
     Option.map
@@ -127,7 +130,6 @@ let sub ?(fraction = 0.5) t =
   in
   {
     deadline;
-    clock = t.clock;
     worlds;
     cancelled = Atomic.make false;
     tripped = Atomic.make None;

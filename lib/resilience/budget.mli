@@ -30,12 +30,13 @@ type reason = Deadline | Worlds | Cancelled
 
 exception Exceeded of reason
 
-(** [create ?timeout_ms ?max_worlds ?clock ()] — a budget that trips
-    [timeout_ms] milliseconds from now (measured by [clock], default
-    [Unix.gettimeofday]) and/or after [max_worlds] work units have been
-    ticked. With neither limit the budget only trips via {!cancel} (or a
-    parent). [Invalid_argument] on non-positive limits. *)
-val create : ?timeout_ms:int -> ?max_worlds:int -> ?clock:(unit -> float) -> unit -> t
+(** [create ?timeout_ms ?max_worlds ()] — a budget that trips
+    [timeout_ms] milliseconds from now (measured by [Obs.Clock], wall
+    time unless a caller installed another clock) and/or after
+    [max_worlds] work units have been ticked. With neither limit the
+    budget only trips via {!cancel} (or a parent). [Invalid_argument] on
+    non-positive limits. *)
+val create : ?timeout_ms:int -> ?max_worlds:int -> unit -> t
 
 (** [sub ?fraction t] is a child budget holding [fraction] (default 0.5,
     clamped to [0..1]) of [t]'s remaining time and work units. Ticks on

@@ -43,7 +43,7 @@ let ladder ?(on_fallback = fun ~rung:_ _ -> ()) ~degradable rungs =
                   ("error", Obs.Json.String (Printexc.to_string e));
                 ]
               "degrade";
-            Obs.Recorder.note "degraded_from" (Obs.Json.String rung.name);
+            Obs.Trace.note "degraded_from" (Obs.Json.String rung.name);
             on_fallback ~rung:rung.name e;
             go rest)
   in

@@ -262,15 +262,14 @@ let save_attempt io t ~dir ~format =
 let save ?(io = Io.real) ?retry ?sleep ?(format = Xml) t ~dir =
   let io = Io.metered io in
   Obs.Metrics.incr c_saves;
-  Obs.Trace.with_span "store.save" @@ fun () ->
-  Obs.Recorder.run ~op:"store.save" ~detail:dir @@ fun () ->
+  Obs.Trace.op "store.save" ~detail:dir @@ fun () ->
   match with_retry ?retry ?sleep (fun () -> save_attempt io t ~dir ~format) with
   | () -> Ok ()
   | exception Sys_error msg ->
-      Obs.Recorder.outcome ("error:" ^ msg);
+      Obs.Trace.outcome ("error:" ^ msg);
       Error msg
   | exception Io.Fault msg ->
-      Obs.Recorder.outcome ("error:" ^ msg);
+      Obs.Trace.outcome ("error:" ^ msg);
       Error msg
 
 (* ---- load ------------------------------------------------------------- *)
@@ -458,16 +457,15 @@ let load_attempt io ~mode ~quarantine dir =
 let load ?(io = Io.real) ?retry ?sleep ?(mode = Salvage) ?(quarantine = false) dir =
   let io = Io.metered io in
   Obs.Metrics.incr c_loads;
-  Obs.Trace.with_span "store.load" @@ fun () ->
-  Obs.Recorder.run ~op:"store.load" ~detail:dir @@ fun () ->
+  Obs.Trace.op "store.load" ~detail:dir @@ fun () ->
   match with_retry ?retry ?sleep (fun () -> load_attempt io ~mode ~quarantine dir) with
   | result -> Ok result
   | exception Abort msg ->
-      Obs.Recorder.outcome ("error:" ^ msg);
+      Obs.Trace.outcome ("error:" ^ msg);
       Error msg
   | exception Sys_error msg ->
-      Obs.Recorder.outcome ("error:" ^ msg);
+      Obs.Trace.outcome ("error:" ^ msg);
       Error msg
   | exception Io.Fault msg ->
-      Obs.Recorder.outcome ("error:" ^ msg);
+      Obs.Trace.outcome ("error:" ^ msg);
       Error msg

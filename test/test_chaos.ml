@@ -105,13 +105,15 @@ let wide_doc k =
 
 let wide_query = "//r/v"
 
-(* A clock that advances [step_ms] per consultation — deadlines expire
-   deterministically, with no real time involved. *)
-let fake_clock ?(step_ms = 1.) () =
+(* [with_fake_clock f] runs [f] with [Obs.Clock] advancing [step_ms] per
+   consultation — deadlines expire deterministically, with no real time
+   involved — and restores the default wall clock afterwards. *)
+let with_fake_clock ?(step_ms = 1.) f =
   let t = ref 0. in
-  fun () ->
-    t := !t +. (step_ms /. 1000.);
-    !t
+  Obs.Clock.set (fun () ->
+      t := !t +. (step_ms /. 1000.);
+      !t);
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Unix.gettimeofday) f
 
 (* A retry policy whose sleeps are recorded, never slept. *)
 let test_policy ?(max_attempts = 3) () = Retry.policy ~max_attempts ~seed:7 ()
@@ -378,12 +380,13 @@ let scenario_query_deadline_trips () =
   let deadlines0 = count "resilience.deadline_exceeded" in
   (* the clock advances 1 ms per consultation: a 5 ms deadline expires
      deterministically a few ticks in, with no real time involved *)
-  let budget = Budget.create ~timeout_ms:5 ~clock:(fake_clock ()) () in
-  (match Pquery.rank ~budget ~strategy:Pquery.Enumerate_only doc wide_query with
-  | _ -> Alcotest.fail "the fake clock must expire the deadline"
-  | exception Budget.Exceeded Budget.Deadline -> ()
-  | exception Budget.Exceeded r ->
-      Alcotest.failf "wrong trip reason: %s" (Budget.reason_to_string r));
+  (with_fake_clock @@ fun () ->
+   let budget = Budget.create ~timeout_ms:5 () in
+   match Pquery.rank ~budget ~strategy:Pquery.Enumerate_only doc wide_query with
+   | _ -> Alcotest.fail "the fake clock must expire the deadline"
+   | exception Budget.Exceeded Budget.Deadline -> ()
+   | exception Budget.Exceeded r ->
+       Alcotest.failf "wrong trip reason: %s" (Budget.reason_to_string r));
   check Alcotest.int "deadline counter bumped once" (deadlines0 + 1)
     (count "resilience.deadline_exceeded")
 
@@ -560,7 +563,8 @@ let scenario_integrate_pair_budget_trips () =
 
 let scenario_integrate_deadline_trips () =
   let left = similar_books 8 "" and right = similar_books 8 "x" in
-  let budget = Budget.create ~timeout_ms:5 ~clock:(fake_clock ()) () in
+  with_fake_clock @@ fun () ->
+  let budget = Budget.create ~timeout_ms:5 () in
   match Imprecise.integrate_many ~budget [ left; right ] with
   | Ok _ -> Alcotest.fail "the fake clock must expire the deadline"
   | Error (Integrate.Budget_exceeded reason) ->

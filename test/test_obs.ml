@@ -1,7 +1,8 @@
 (* Tests for the telemetry library (lib/obs) and its wiring: registry
-   idempotence, snapshot/reset semantics, span nesting under a fake clock
-   (no wall clock anywhere in the assertions), the no-sink fast path, JSON
-   round-trips, and tagged store-io attribution. *)
+   idempotence, snapshot/reset semantics, span nesting under a fake clock,
+   the no-sink fast path, JSON round-trips, op events (fake clock, plus one
+   check that the default clock is wall time), tagged store-io
+   attribution, and the span tree each library op emits. *)
 
 module Obs = Imprecise.Obs
 module Metrics = Obs.Metrics
@@ -155,10 +156,16 @@ let fake_clock () =
   let t = ref 0. in
   ((fun () -> !t), fun dt -> t := !t +. dt)
 
+(* [install ~now] installs [now] as the one [Obs.Clock]; restore the
+   default afterwards so no fake clock leaks into later deadline tests. *)
 let with_collector now f =
   let sink, roots = Trace.collector () in
   Trace.install ~now sink;
-  Fun.protect ~finally:Trace.uninstall (fun () -> f ());
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.uninstall ();
+      Obs.Clock.set Unix.gettimeofday)
+    f;
   roots ()
 
 let test_nested_spans_fake_clock () =
@@ -554,50 +561,93 @@ let test_event_ring_domain_stress () =
         Alcotest.failf "torn record: d=%d i=%d" d i)
     recents
 
-(* ---- flight recorder ------------------------------------------------------- *)
+(* ---- ops: the flight recorder -------------------------------------------- *)
 
-let test_recorder_records () =
+let with_events f =
+  Obs.Event.enable ~capacity:256 ();
+  Fun.protect ~finally:Obs.Event.disable f
+
+let event_named name events =
+  match List.find_opt (fun ev -> ev.Obs.Event.name = name) events with
+  | Some ev -> ev
+  | None -> Alcotest.failf "no %s event" name
+
+let field_string name ev =
+  match Obs.Event.field name ev with Some (Json.String s) -> s | _ -> "?"
+
+let field_float name ev =
+  match Obs.Event.field name ev with Some (Json.Float f) -> f | _ -> Float.nan
+
+let test_op_events () =
   let now, tick = fake_clock () in
   Obs.Clock.set now;
-  Fun.protect ~finally:(fun () -> Obs.Clock.set Sys.time) @@ fun () ->
-  Obs.Recorder.configure ~capacity:8 ~slow_s:2.0 ();
-  check feq "slow threshold installed" 2.0 (Obs.Recorder.slow_threshold ());
+  Fun.protect ~finally:(fun () -> Obs.Clock.set Unix.gettimeofday) @@ fun () ->
+  with_events @@ fun () ->
+  let c_ops = Metrics.counter "obs.ops_recorded" and c_slow = Metrics.counter "obs.slow_ops" in
+  let ops0 = Metrics.count c_ops and slow0 = Metrics.count c_slow in
   let result =
-    Obs.Recorder.run ~op:"test.fast" ~detail:"q1" (fun () ->
-        Obs.Recorder.note "k" (Json.Int 7);
-        tick 1.;
+    Trace.op "test.fast" ~detail:"q1" (fun () ->
+        Trace.note "k" (Json.Int 7);
+        tick 0.5;
         "answer")
   in
-  check Alcotest.string "run is transparent" "answer" result;
-  Obs.Recorder.run ~op:"test.slow" (fun () -> tick 3.);
-  (try Obs.Recorder.run ~op:"test.err" (fun () -> failwith "kaboom")
-   with Failure _ -> ());
-  (match Obs.Recorder.recent ~n:3 () with
-  | [ err; slow; fast ] ->
-      check Alcotest.string "newest first" "test.err" err.Obs.Recorder.op;
-      check Alcotest.bool "exception recorded as error outcome" true
-        (index_of err.Obs.Recorder.outcome "error" = 0);
-      check Alcotest.string "slow op name" "test.slow" slow.Obs.Recorder.op;
-      check feq "slow duration from the fake clock" 3. slow.Obs.Recorder.duration;
-      check Alcotest.bool "slow flagged" true slow.Obs.Recorder.slow;
-      check Alcotest.bool "fast not flagged" false fast.Obs.Recorder.slow;
-      check Alcotest.string "detail kept" "q1" fast.Obs.Recorder.detail;
-      check Alcotest.string "ok outcome" "ok" fast.Obs.Recorder.outcome;
-      (match List.assoc_opt "k" fast.Obs.Recorder.fields with
-      | Some (Json.Int 7) -> ()
-      | _ -> Alcotest.fail "note lost")
-  | rs -> Alcotest.failf "expected 3 records, got %d" (List.length rs));
-  check Alcotest.bool "slowest keeps the outlier" true
-    (List.exists
-       (fun r -> r.Obs.Recorder.op = "test.slow")
-       (Obs.Recorder.slowest ()));
-  (* a slow op must also emit the force-log event when events are on *)
-  Obs.Event.enable ~capacity:64 ();
-  Fun.protect ~finally:Obs.Event.disable @@ fun () ->
-  Obs.Recorder.run ~op:"test.slow2" (fun () -> tick 5.);
-  let names = List.map (fun ev -> ev.Obs.Event.name) (Obs.Event.recent ()) in
-  check Alcotest.bool "op completion event" true (List.mem "test.slow2" names);
-  check Alcotest.bool "slow_op marker event" true (List.mem "slow_op" names)
+  check Alcotest.string "op is transparent" "answer" result;
+  Trace.op "test.slow" (fun () -> tick 3.);
+  (try Trace.op "test.err" (fun () -> failwith "kaboom") with Failure _ -> ());
+  Trace.note "stray" (Json.Int 0);
+  let events = Obs.Event.recent () in
+  check
+    Alcotest.(list string)
+    "one event per op, slow_op right after the slow one"
+    [ "test.fast"; "test.slow"; "slow_op"; "test.err" ]
+    (List.map (fun ev -> ev.Obs.Event.name) events);
+  let fast = event_named "test.fast" events in
+  check
+    Alcotest.(list string)
+    "fields: dur_ms, outcome, detail, then notes" [ "dur_ms"; "outcome"; "detail"; "k" ]
+    (List.map fst fast.Obs.Event.fields);
+  check feq "fast duration from the fake clock" 500. (field_float "dur_ms" fast);
+  check Alcotest.string "ok outcome" "ok" (field_string "outcome" fast);
+  check Alcotest.string "detail kept" "q1" (field_string "detail" fast);
+  (match Obs.Event.field "k" fast with
+  | Some (Json.Int 7) -> ()
+  | _ -> Alcotest.fail "note lost");
+  let slow = event_named "test.slow" events in
+  check feq "slow duration from the fake clock" 3000. (field_float "dur_ms" slow);
+  check Alcotest.string "slow_op names its op" "test.slow"
+    (field_string "op" (event_named "slow_op" events));
+  let err = event_named "test.err" events in
+  check Alcotest.bool "exception recorded as error outcome" true
+    (index_of (field_string "outcome" err) "error:" = 0);
+  check Alcotest.bool "empty detail omitted" true (Obs.Event.field "detail" err = None);
+  check Alcotest.int "every op counted" (ops0 + 3) (Metrics.count c_ops);
+  check Alcotest.int "only the slow op counted slow" (slow0 + 1) (Metrics.count c_slow);
+  (* with a sink installed the op is a span: its event carries the op's own
+     ids, and a note made inside a nested span still lands on the op *)
+  let roots =
+    with_collector now (fun () ->
+        Trace.op "test.traced" (fun () ->
+            Trace.with_span "inner" (fun () -> Trace.note "deep" (Json.Bool true))))
+  in
+  (match roots with
+  | [ { Trace.name = "test.traced"; children = [ { Trace.name = "inner"; _ } ]; _ } ] -> ()
+  | _ -> Alcotest.fail "expected one test.traced span around inner");
+  let traced = event_named "test.traced" (Obs.Event.recent ()) in
+  check Alcotest.bool "event ids name the op's own root span" true
+    (traced.Obs.Event.trace_id <> 0 && traced.Obs.Event.span_id = traced.Obs.Event.trace_id);
+  check Alcotest.bool "note from a nested span lands on the op" true
+    (Obs.Event.field "deep" traced = Some (Json.Bool true))
+
+(* The default clock is wall time: an op that sleeps reports the sleep,
+   in its event and in its latency histogram. *)
+let test_op_default_clock_is_wall_time () =
+  with_events @@ fun () ->
+  Trace.op "clocktest.sleep" (fun () -> Unix.sleepf 0.02);
+  let ev = event_named "clocktest.sleep" (Obs.Event.recent ()) in
+  check Alcotest.bool "event dur_ms covers the sleep" true (field_float "dur_ms" ev >= 20.);
+  let h = Metrics.stats (Metrics.histogram "clocktest.latency") in
+  check Alcotest.int "one latency observation" 1 h.Metrics.observations;
+  check Alcotest.bool "histogram covers the sleep" true (h.Metrics.max >= 20.)
 
 (* ---- resilience events ----------------------------------------------------- *)
 
@@ -606,25 +656,27 @@ module Pquery = Imprecise.Pquery
 module Budget = Imprecise.Resilience.Budget
 module Degrade = Imprecise.Resilience.Degrade
 
+(* 2^12 worlds; count() is outside the direct evaluator's class, so the
+   exact and top-k rungs of rank_graded must enumerate — and an 8-world
+   budget trips them. *)
+let wide_doc =
+  Pxml.certain
+    [
+      Pxml.elem "r"
+        (List.init 12 (fun i ->
+             Pxml.dist
+               [
+                 Pxml.choice ~prob:0.5
+                   [ Pxml.Elem ("v", [], [ Pxml.certain [ Pxml.Text (string_of_int i) ] ]) ];
+                 Pxml.choice ~prob:0.5 [];
+               ]))
+    ]
+
 (* The PR 7 regression: a budget-tripped query must yield exactly one
    [degrade] event per failed rung, naming it, and the event count must
    equal the resilience.degradations counter delta. *)
 let test_degrade_emits_events () =
-  (* 2^12 worlds; count() is outside the direct evaluator's class, so the
-     exact and top-k rungs must enumerate — and an 8-world budget trips *)
-  let doc =
-    Pxml.certain
-      [
-        Pxml.elem "r"
-          (List.init 12 (fun i ->
-               Pxml.dist
-                 [
-                   Pxml.choice ~prob:0.5
-                     [ Pxml.Elem ("v", [], [ Pxml.certain [ Pxml.Text (string_of_int i) ] ]) ];
-                   Pxml.choice ~prob:0.5 [];
-                 ]))
-      ]
-  in
+  let doc = wide_doc in
   Obs.Event.enable ~capacity:65536 ();
   Fun.protect ~finally:Obs.Event.disable @@ fun () ->
   let c_deg = Metrics.counter "resilience.degradations" in
@@ -651,23 +703,17 @@ let test_degrade_emits_events () =
     (List.length degrades);
   check Alcotest.bool "the budget trip emitted its event" true
     (List.exists (fun ev -> ev.Obs.Event.name = "budget.trip") events);
-  (* the graded record carries the fallbacks as degraded_from notes *)
-  match
-    List.find_opt
-      (fun r -> r.Obs.Recorder.op = "pquery.rank_graded")
-      (Obs.Recorder.recent ())
-  with
-  | None -> Alcotest.fail "no pquery.rank_graded flight record"
-  | Some r ->
-      check Alcotest.string "record outcome degraded" "degraded" r.Obs.Recorder.outcome;
-      let degraded_from =
-        List.filter_map
-          (function "degraded_from", Json.String s -> Some s | _ -> None)
-          r.Obs.Recorder.fields
-      in
-      check
-        Alcotest.(list string)
-        "degraded_from notes in rung order" [ "exact"; "top_k" ] degraded_from
+  (* the graded op's event carries the fallbacks as degraded_from notes *)
+  let graded_ev = event_named "pquery.rank_graded" events in
+  check Alcotest.string "op outcome degraded" "degraded" (field_string "outcome" graded_ev);
+  let degraded_from =
+    List.filter_map
+      (function "degraded_from", Json.String s -> Some s | _ -> None)
+      graded_ev.Obs.Event.fields
+  in
+  check
+    Alcotest.(list string)
+    "degraded_from notes in rung order" [ "exact"; "top_k" ] degraded_from
 
 (* ---- tagged store io ------------------------------------------------------ *)
 
@@ -742,6 +788,70 @@ let test_global_wiring () =
   check Alcotest.bool "manifest commit attributed" true
     (Metrics.count manifest_writes > m0)
 
+(* ---- library span hierarchy ----------------------------------------------- *)
+
+(* The span names and nesting every library op emits. Per-layer profiles
+   attribute self time by exactly these names, so they are pinned here. *)
+
+let rec shape (s : Trace.span) =
+  match s.Trace.children with
+  | [] -> s.Trace.name
+  | cs -> s.Trace.name ^ "(" ^ String.concat " " (List.map shape cs) ^ ")"
+
+let span_shapes f =
+  let now, _ = fake_clock () in
+  List.map shape (with_collector now (fun () -> ignore (f ())))
+
+let movie_doc =
+  lazy
+    (let module Workloads = Imprecise.Data.Workloads in
+     let wl = Workloads.confusing () in
+     let rules = Imprecise.Rulesets.movie ~genre:true ~title:true ~director:true () in
+     let cfg =
+       Integrate.config ~oracle:rules.Imprecise.Rulesets.oracle
+         ~reconcile:rules.Imprecise.Rulesets.reconcile ~dtd:wl.Workloads.dtd ()
+     in
+     match Integrate.integrate cfg (Workloads.mpeg7_doc wl) (Workloads.imdb_doc wl) with
+     | Ok doc -> doc
+     | Error e -> Alcotest.failf "integration failed: %a" Integrate.pp_error e)
+
+let test_library_span_hierarchy () =
+  let movies = Lazy.force movie_doc in
+  let pin what expected f = check Alcotest.(list string) what expected (span_shapes f) in
+  let query = "pquery.rank(analyze.summary analyze.check analyze.plan " in
+  pin "§VI Q1 via Auto takes the direct route"
+    [ query ^ "direct)" ]
+    (fun () -> Pquery.rank movies {|//movie[.//genre="Horror"]/title|});
+  pin "count() enumerates" [ query ^ "enumerate)" ] (fun () ->
+      Pquery.rank movies "count(//movie)");
+  pin "rank_graded under a tripping budget descends every rung"
+    [
+      "pquery.rank_graded("
+      ^ ("degrade.exact(" ^ query ^ "enumerate)) ")
+      ^ "degrade.top_k(pquery.rank(analyze.summary analyze.check enumerate)) "
+      ^ "degrade.sample(pquery.rank(analyze.summary analyze.check sample)))";
+    ]
+    (fun () -> Pquery.rank_graded ~budget:(Budget.create ~max_worlds:8 ()) wide_doc "count(//r/v)");
+  let person nm tel = Imprecise.Tree.(element "person" [ leaf "nm" nm; leaf "tel" tel ]) in
+  pin "a 3-source integrate_many: one integrate, then one incremental fold"
+    [
+      "integrate(reconcile block match merge(enumerate reconcile block match))";
+      "integrate.incremental(reconcile block match reconcile block match reconcile block match)";
+    ]
+    (fun () ->
+      Imprecise.integrate_many ~dtd:Addressbook.dtd
+        ~blocker:(Imprecise.Blocking.key ~field:"nm" ())
+        [
+          Addressbook.source_a;
+          Addressbook.source_b;
+          Imprecise.Tree.element "addressbook" [ person "Mary" "3333" ];
+        ]);
+  let store = Store.create () in
+  Store.put store "doc" (Store.Probabilistic movies);
+  let dir = Filename.concat (Lazy.force obs_dir) "spans" in
+  pin "save" [ "store.save" ] (fun () -> Store.save store ~dir);
+  pin "load" [ "store.load" ] (fun () -> Store.load dir)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -764,6 +874,7 @@ let suite =
         t "spans close on exceptions" test_span_closes_on_exception;
         t "no sink: with_span is pass-through" test_no_sink_fast_path;
         t "span stacks are domain-local" test_spans_domain_local;
+        t "library ops pin their span tree" test_library_span_hierarchy;
       ] );
     ( "obs.json",
       [
@@ -791,9 +902,10 @@ let suite =
       ] );
     ( "obs.recorder",
       [
-        t "records, notes, outcomes, slow flagging" test_recorder_records;
+        t "records, notes, outcomes, slow flagging" test_op_events;
         t "a budget-tripped query emits one degrade event per rung"
           test_degrade_emits_events;
+        t "the default clock is wall time" test_op_default_clock_is_wall_time;
       ] );
     ( "obs.io",
       [

@@ -26,7 +26,7 @@ module Data = struct
   module Workloads = Imprecise_data.Workloads
   module Addressbook = Imprecise_data.Addressbook
   module Publications = Imprecise_data.Publications
-  module Prng = Imprecise_data.Prng
+  module Prng = Imprecise_prng.Prng
   module Random_docs = Imprecise_data.Random_docs
 end
 module Store = Imprecise_store.Store

@@ -55,7 +55,7 @@ module Data : sig
   module Workloads = Imprecise_data.Workloads
   module Addressbook = Imprecise_data.Addressbook
   module Publications = Imprecise_data.Publications
-  module Prng = Imprecise_data.Prng
+  module Prng = Imprecise_prng.Prng
   module Random_docs = Imprecise_data.Random_docs
 end
 

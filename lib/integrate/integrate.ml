@@ -271,14 +271,23 @@ module Engine (R : REP) = struct
        the standard entity-resolution blocking optimisation (sound only if
        the blocking function is, which is the caller's promise). *)
     let blocks_a = Array.map cfg.block ga and blocks_b = Array.map cfg.block gb in
+    (* Decision-cache keys likewise: one intern traversal per child, here
+       and single-threaded, so the band workers never take the intern lock. *)
+    let decide =
+      match cfg.decisions with
+      | None -> fun i j -> O.decide cfg.oracle ga.(i) gb.(j)
+      | Some cache ->
+          let key = Oracle.Decision_cache.key in
+          let keys_a = Array.map key ga and keys_b = Array.map key gb in
+          fun i j -> Oracle.Decision_cache.decide cache cfg.oracle keys_a.(i) keys_b.(j)
+    in
     (* The outcome function is called from [cfg.jobs] domains at once, so it
        must not touch [trace] or bump counters one by one: each domain keeps
        a private tally, and the merged totals are folded in below — exact
        counts with no cross-domain mutation. The only shared state it
        reaches is the decision cache, which synchronises internally. *)
     let outcome i j =
-      let x = ga.(i) and y = gb.(j) in
-      if Tree.name x <> Tree.name y then Matching.Verdict O.Different
+      if Tree.name ga.(i) <> Tree.name gb.(j) then Matching.Verdict O.Different
       else if
         match blocks_a.(i), blocks_b.(j) with
         | Some ka, Some kb -> not (String.equal ka kb)
@@ -286,11 +295,7 @@ module Engine (R : REP) = struct
       then Matching.Blocked
       else
         let v =
-          try
-            match cfg.decisions with
-            | Some cache -> Oracle.Decision_cache.decide cache cfg.oracle x y
-            | None -> O.decide cfg.oracle x y
-          with O.Conflict msg -> raise (Run_error (Oracle_conflict msg))
+          try decide i j with O.Conflict msg -> raise (Run_error (Oracle_conflict msg))
         in
         Matching.Verdict v
     in

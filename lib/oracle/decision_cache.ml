@@ -13,26 +13,31 @@ let c_evict = Obs.Metrics.counter "oracle.cache.evict"
    guarded by a mutex: the integration engine consults one cache from all
    the domains deciding the verdict grid.
 
-   Keys are INTERNED subtrees (Intern.tree), so a lookup is O(1) in the
-   size of the trees: the key hash is the intern pool's cached structural
-   hash (one bounded memo probe, no traversal — structural hashing here
-   used to walk the whole subtree pair on every lookup), and key equality
-   is two pointer checks (deep-equal trees intern to the same pointer).
-   Re-interning the probe trees is itself O(1) once they have been seen:
-   the pool memoizes by physical identity. *)
+   A key is an INTERNED subtree with its pool hash, built once by [key]
+   (one traversal into the intern pool). A lookup is then one hash combine
+   and two pointer checks (deep-equal trees intern to the same pointer):
+   no traversal and no intern lock per probe. *)
 
-type key = Xml.Tree.t * Xml.Tree.t
+type key = { tree : Xml.Tree.t; hash : int }
+
+let key t =
+  let tree, hash = Intern.tree_hashed t in
+  { tree; hash }
+
+let key_hash k = k.hash
+
+type pair = key * key
 
 module Ktbl = Hashtbl.Make (struct
-  type t = key
+  type t = pair
 
-  let equal (a1, b1) (a2, b2) = a1 == a2 && b1 == b2
+  let equal (a1, b1) (a2, b2) = a1.tree == a2.tree && b1.tree == b2.tree
 
-  let hash (a, b) = (Intern.tree_hash a * 31) lxor Intern.tree_hash b
+  let hash (a, b) = (a.hash * 31) lxor b.hash
 end)
 
 type node = {
-  key : key;
+  key : pair;
   mutable value : Oracle.verdict;
   mutable prev : node option;
   mutable next : node option;
@@ -87,7 +92,6 @@ let evict_tail t =
       Obs.Metrics.incr c_evict
 
 let find t a b =
-  let a = Intern.tree a and b = Intern.tree b in
   let r =
     Mutex.protect t.lock @@ fun () ->
     match Ktbl.find_opt t.tbl (a, b) with
@@ -105,7 +109,6 @@ let find t a b =
   r
 
 let add t a b value =
-  let a = Intern.tree a and b = Intern.tree b in
   Mutex.protect t.lock @@ fun () ->
   let key = (a, b) in
   match Ktbl.find_opt t.tbl key with
@@ -128,6 +131,6 @@ let decide t oracle a b =
   match find t a b with
   | Some v -> v
   | None ->
-      let v = Oracle.decide oracle a b in
+      let v = Oracle.decide oracle a.tree b.tree in
       add t a b v;
       v

@@ -7,10 +7,12 @@
     the {e pair of subtrees themselves} (structural equality), so any
     repeat is answered without consulting the rules again.
 
-    Keys are hash-consed through {!Imprecise_pxml.Intern}: the key hash is
-    the intern pool's cached structural hash and key equality is a pointer
-    check, so a lookup — hit or miss — is O(1) in the size of the subtrees
-    rather than a full traversal per probe.
+    A {!key} is a subtree hash-consed through {!Imprecise_pxml.Intern},
+    paired with its structural hash. Building one traverses the subtree
+    once; the integration engine builds them once per verdict-grid row and
+    column, before the grid fans out to its domains. A lookup — hit or
+    miss — is then one hash combine and two pointer checks, O(1) in the
+    size of the subtrees.
 
     Soundness contract: the Oracle's rules and default must be pure
     functions of the two subtrees. Rules that close over external state
@@ -29,6 +31,16 @@ module Xml = Imprecise_xml
 
 type t
 
+(** An interned subtree with its structural hash. *)
+type key
+
+(** [key tree] interns [tree] ({!Imprecise_pxml.Intern.tree_hashed}): one
+    traversal. Deep-equal trees give keys that compare equal. *)
+val key : Xml.Tree.t -> key
+
+(** The structural hash a key was built with. *)
+val key_hash : key -> int
+
 (** [create ?capacity ()] makes an empty cache evicting least-recently
     used entries beyond [capacity] (default 4096) pairs. Raises
     [Invalid_argument] if [capacity <= 0]. *)
@@ -42,14 +54,14 @@ val clear : t -> unit
 
 (** [find t a b] is the cached verdict for the pair, if present (counts a
     hit or miss either way). *)
-val find : t -> Xml.Tree.t -> Xml.Tree.t -> Oracle.verdict option
+val find : t -> key -> key -> Oracle.verdict option
 
 (** [add t a b v] records a verdict (overwriting any previous one). *)
-val add : t -> Xml.Tree.t -> Xml.Tree.t -> Oracle.verdict -> unit
+val add : t -> key -> key -> Oracle.verdict -> unit
 
-(** [decide t oracle a b] is [Oracle.decide oracle a b] memoized through
-    the cache. [Oracle.Conflict] propagates and is never cached. The
-    internal lock is not held during the Oracle call, so concurrent
-    misses on the same pair may both run the rules — harmless for pure
-    rules, see the soundness contract above. *)
-val decide : t -> Oracle.t -> Xml.Tree.t -> Xml.Tree.t -> Oracle.verdict
+(** [decide t oracle a b] is [Oracle.decide] on the keys' subtrees,
+    memoized through the cache. [Oracle.Conflict] propagates and is never
+    cached. The internal lock is not held during the Oracle call, so
+    concurrent misses on the same pair may both run the rules — harmless
+    for pure rules, see the soundness contract above. *)
+val decide : t -> Oracle.t -> key -> key -> Oracle.verdict

@@ -1,19 +1,13 @@
 (* Hash-consing of deep-equal subtrees. See intern.mli for the contract.
 
-   Two structures per interned type:
-
-   - a WEAK POOL keyed by a full structural hash, holding the canonical
-     representative of every distinct subtree currently alive. Weak, so
-     the pool pins nothing: a subtree no longer referenced anywhere else
-     is collected and its cell swept on the next resize.
-
-   - a bounded PHYSICAL MEMO from trees already seen (by pointer) to
-     their canonical form and its hash. This is what makes repeat calls
-     O(1): interning the same physical subtree again — the hot case in
-     Decision_cache lookups and integration folds — is one bounded-hash
-     table probe, no traversal. The memo is strong, so it is capped and
-     dropped wholesale when it grows past [memo_cap]; correctness never
-     depends on it, only constant factors.
+   One WEAK POOL per interned type, keyed by a full structural hash and
+   holding the canonical representative of every distinct subtree
+   currently alive. Weak, so the pool pins nothing: a subtree no longer
+   referenced anywhere else is collected and its cell swept on the next
+   resize. Interning is one bottom-up traversal: children first, so each
+   pool probe compares children by pointer, and a node whose children
+   came back unchanged is its own candidate (no copy on a pool hit of an
+   already-canonical subtree).
 
    All state is process-global behind one mutex: interning is called from
    the parallel domains of the integration grid. *)
@@ -27,8 +21,6 @@ let c_miss = Obs.Metrics.counter "pxml.intern.miss"
 
 let lock = Mutex.create ()
 
-let memo_cap = 1 lsl 17
-
 (* FNV-style mixing; results are masked positive at bucket time. *)
 let comb h x = (h * 16777619) lxor x
 
@@ -36,9 +28,8 @@ let hash_string s = Hashtbl.hash s
 
 (* ---- weak pool -------------------------------------------------------- *)
 
-(* An open-hashing weak set with the hash cached per cell, so stored
-   elements are never re-hashed (their children's hashes may have left the
-   memo). *)
+(* An open-hashing weak set with the hash cached per cell, so a resize
+   never re-hashes a stored element. *)
 module Wpool = struct
   type 'a cell = { h : int; w : 'a Weak.t }
 
@@ -96,37 +87,7 @@ module Wpool = struct
         x
 end
 
-(* ---- physical memos ---------------------------------------------------- *)
-
-(* [Hashtbl.hash] only inspects a bounded prefix of the structure, so the
-   probe is O(1) even on huge trees; physical equality resolves the
-   bucket. *)
-module Pmemo (T : sig
-  type t
-end) =
-struct
-  module H = Hashtbl.Make (struct
-    type t = T.t
-
-    let equal = ( == )
-
-    let hash = Hashtbl.hash
-  end)
-
-  let tbl : (T.t * int) H.t = H.create 1024
-
-  let find t = H.find_opt tbl t
-
-  let add t v =
-    if H.length tbl >= memo_cap then H.reset tbl;
-    H.replace tbl t v
-end
-
 (* ---- Tree.t ------------------------------------------------------------ *)
-
-module Tree_memo = Pmemo (struct
-  type t = Tree.t
-end)
 
 let tree_pool : Tree.t Wpool.t = Wpool.create 1024
 
@@ -143,49 +104,31 @@ let tree_shallow_equal a b =
   | Tree.Text _, Tree.Element _ | Tree.Element _, Tree.Text _ -> false
 
 let rec tree_ih t =
-  match Tree_memo.find t with
-  | Some r ->
-      Obs.Metrics.incr c_hit;
-      r
-  | None ->
-      let ((t', _) as r) =
-        match t with
-        | Tree.Text s ->
-            let h = comb 3 (hash_string s) in
-            (Wpool.merge tree_pool ~hash:h ~equal:tree_shallow_equal t, h)
-        | Tree.Element (name, attrs, children) ->
-            let children, h =
-              List.fold_left
-                (fun (rev, h) c ->
-                  let c', hc = tree_ih c in
-                  (c' :: rev, comb h hc))
-                ([], comb (comb 5 (hash_string name)) (hash_attrs attrs))
-                children
-            in
-            let candidate = Tree.Element (name, attrs, List.rev children) in
-            (Wpool.merge tree_pool ~hash:h ~equal:tree_shallow_equal candidate, h)
+  match t with
+  | Tree.Text s ->
+      let h = comb 3 (hash_string s) in
+      (Wpool.merge tree_pool ~hash:h ~equal:tree_shallow_equal t, h)
+  | Tree.Element (name, attrs, children) ->
+      let children', h =
+        List.fold_left
+          (fun (rev, h) c ->
+            let c', hc = tree_ih c in
+            (c' :: rev, comb h hc))
+          ([], comb (comb 5 (hash_string name)) (hash_attrs attrs))
+          children
       in
-      Tree_memo.add t r;
-      if t' != t then Tree_memo.add t' r;
-      r
+      let children' = List.rev children' in
+      let candidate =
+        if List.equal ( == ) children' children then t
+        else Tree.Element (name, attrs, children')
+      in
+      (Wpool.merge tree_pool ~hash:h ~equal:tree_shallow_equal candidate, h)
 
-let tree t = Mutex.protect lock @@ fun () -> fst (tree_ih t)
+let tree_hashed t = Mutex.protect lock @@ fun () -> tree_ih t
 
-let tree_hash t = Mutex.protect lock @@ fun () -> snd (tree_ih t)
-
-let tree_interned t =
-  Mutex.protect lock @@ fun () ->
-  match Tree_memo.find t with Some (t', _) -> t == t' | None -> false
+let tree t = fst (tree_hashed t)
 
 (* ---- Pxml -------------------------------------------------------------- *)
-
-module Node_memo = Pmemo (struct
-  type t = Pxml.node
-end)
-
-module Dist_memo = Pmemo (struct
-  type t = Pxml.dist
-end)
 
 let node_pool : Pxml.node Wpool.t = Wpool.create 1024
 
@@ -213,31 +156,25 @@ let dist_shallow_equal (a : Pxml.dist) (b : Pxml.dist) =
   List.equal ( == ) a.choices b.choices
 
 let rec node_ih (n : Pxml.node) =
-  match Node_memo.find n with
-  | Some r ->
-      Obs.Metrics.incr c_hit;
-      r
-  | None ->
-      let r =
-        match n with
-        | Pxml.Text s ->
-            let h = comb 7 (hash_string s) in
-            (Wpool.merge node_pool ~hash:h ~equal:node_shallow_equal n, h)
-        | Pxml.Elem (tag, attrs, content) ->
-            let content, h =
-              List.fold_left
-                (fun (rev, h) d ->
-                  let d', hd = dist_ih d in
-                  (d' :: rev, comb h hd))
-                ([], comb (comb 11 (hash_string tag)) (hash_attrs attrs))
-                content
-            in
-            let candidate = Pxml.Elem (tag, attrs, List.rev content) in
-            (Wpool.merge node_pool ~hash:h ~equal:node_shallow_equal candidate, h)
+  match n with
+  | Pxml.Text s ->
+      let h = comb 7 (hash_string s) in
+      (Wpool.merge node_pool ~hash:h ~equal:node_shallow_equal n, h)
+  | Pxml.Elem (tag, attrs, content) ->
+      let content', h =
+        List.fold_left
+          (fun (rev, h) d ->
+            let d', hd = dist_ih d in
+            (d' :: rev, comb h hd))
+          ([], comb (comb 11 (hash_string tag)) (hash_attrs attrs))
+          content
       in
-      Node_memo.add n r;
-      if fst r != n then Node_memo.add (fst r) r;
-      r
+      let content' = List.rev content' in
+      let candidate =
+        if List.equal ( == ) content' content then n
+        else Pxml.Elem (tag, attrs, content')
+      in
+      (Wpool.merge node_pool ~hash:h ~equal:node_shallow_equal candidate, h)
 
 and choice_ih (c : Pxml.choice) =
   let nodes, h =
@@ -248,56 +185,25 @@ and choice_ih (c : Pxml.choice) =
       ([], comb 13 (hash_prob c.prob))
       c.nodes
   in
-  let candidate = { Pxml.prob = c.prob; nodes = List.rev nodes } in
+  let nodes = List.rev nodes in
+  let candidate = if List.equal ( == ) nodes c.nodes then c else { c with nodes } in
   (Wpool.merge choice_pool ~hash:h ~equal:choice_shallow_equal candidate, h)
 
 and dist_ih (d : Pxml.dist) =
-  match Dist_memo.find d with
-  | Some r ->
-      Obs.Metrics.incr c_hit;
-      r
-  | None ->
-      let choices, h =
-        List.fold_left
-          (fun (rev, h) c ->
-            let c', hc = choice_ih c in
-            (c' :: rev, comb h hc))
-          ([], 17) d.choices
-      in
-      let candidate = { Pxml.choices = List.rev choices } in
-      let ((d', _) as r) =
-        (Wpool.merge dist_pool ~hash:h ~equal:dist_shallow_equal candidate, h)
-      in
-      Dist_memo.add d r;
-      if d' != d then Dist_memo.add d' r;
-      r
-
-let node n = Mutex.protect lock @@ fun () -> fst (node_ih n)
+  let choices, h =
+    List.fold_left
+      (fun (rev, h) c ->
+        let c', hc = choice_ih c in
+        (c' :: rev, comb h hc))
+      ([], 17) d.choices
+  in
+  let choices = List.rev choices in
+  let candidate = if List.equal ( == ) choices d.choices then d else { Pxml.choices } in
+  (Wpool.merge dist_pool ~hash:h ~equal:dist_shallow_equal candidate, h)
 
 let doc (d : Pxml.doc) = Mutex.protect lock @@ fun () -> fst (dist_ih d)
 
-let doc_hash (d : Pxml.doc) = Mutex.protect lock @@ fun () -> snd (dist_ih d)
-
 (* ---- accounting -------------------------------------------------------- *)
-
-type stats = { trees : int; nodes : int; dists : int; choices : int }
-
-let live (p : _ Wpool.t) =
-  Array.fold_left
-    (fun acc cells ->
-      List.fold_left
-        (fun acc (c : _ Wpool.cell) -> if Weak.check c.w 0 then acc + 1 else acc)
-        acc cells)
-    0 p.buckets
-
-let stats () =
-  Mutex.protect lock @@ fun () ->
-  {
-    trees = live tree_pool;
-    nodes = live node_pool;
-    dists = live dist_pool;
-    choices = live choice_pool;
-  }
 
 (* [distinct_nodes d] counts PHYSICALLY distinct representation nodes in a
    document — on an interned document this is the deduplicated size, the

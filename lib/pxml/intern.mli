@@ -8,25 +8,26 @@
     - structural equality on interned values starts with a {e pointer
       check} ({!Pxml.equal_node} and {!Imprecise_xml.Tree.deep_equal} both
       fast-path on physical equality);
-    - hashing an interned subtree is O(1) — the hash was computed once,
-      bottom-up, when the subtree entered the pool (this is what makes
-      {!Imprecise_oracle.Decision_cache} lookups cheap); and
+    - a full structural hash comes out of the same traversal
+      ({!tree_hashed}), which is what {!Imprecise_oracle.Decision_cache}
+      keys are built from, once per verdict-grid row and column; and
     - the binary codec ({!Bincodec}) writes each distinct subtree once,
       emitting back-references for every other occurrence.
 
     Pools are weak: the canonical representatives are pointed to only
     weakly, so interning never pins memory — a subtree dropped by every
-    client is collected as usual. A bounded physical memo makes re-interning
-    an already-interned (or already-seen) value O(1) without traversal.
+    client is collected as usual. Nothing remembers which trees were
+    interned, so every call traverses its argument: O(node occurrences),
+    one pool probe per node. Callers that need a subtree's canonical form
+    or hash repeatedly compute it once and keep it.
 
     All functions are thread-safe (one internal mutex) and
     semantics-preserving to the last bit: probabilities are compared
     bitwise, never with an epsilon, so an interned document is
     indistinguishable from its original under every query.
 
-    Counters: [pxml.intern.hit] (a value was already known — physical memo
-    or pool), [pxml.intern.miss] (a new distinct structure entered a
-    pool). *)
+    Counters: [pxml.intern.hit] (a pool already held an equal value),
+    [pxml.intern.miss] (a new distinct structure entered a pool). *)
 
 module Tree = Imprecise_xml.Tree
 
@@ -36,14 +37,10 @@ module Tree = Imprecise_xml.Tree
     inputs return physically equal outputs. *)
 val tree : Tree.t -> Tree.t
 
-(** [tree_hash t] is the full structural hash of [t]'s canonical form,
-    interning it first if needed. O(1) on a tree already interned (or
-    already hashed) — no traversal. *)
-val tree_hash : Tree.t -> int
-
-(** [tree_interned t] is [true] iff [t] is (physically) a canonical
-    representative. *)
-val tree_interned : Tree.t -> bool
+(** [tree_hashed t] is [(tree t, h)] where [h] is the full structural
+    hash of the canonical form, both from one traversal. Deep-equal inputs
+    give the same pointer and the same hash. *)
+val tree_hashed : Tree.t -> Tree.t * int
 
 (** {1 Probabilistic documents} *)
 
@@ -51,17 +48,7 @@ val tree_interned : Tree.t -> bool
     subtree — node, possibility, probability node — is shared. *)
 val doc : Pxml.doc -> Pxml.doc
 
-val node : Pxml.node -> Pxml.node
-
-(** Structural hash of the canonical form, O(1) once interned. *)
-val doc_hash : Pxml.doc -> int
-
 (** {1 Accounting} *)
-
-type stats = { trees : int; nodes : int; dists : int; choices : int }
-
-(** Live (not yet collected) canonical values per pool. *)
-val stats : unit -> stats
 
 (** [distinct_nodes d] is the number of {e physically} distinct
     representation nodes reachable from [d] — on an interned document, the

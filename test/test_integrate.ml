@@ -721,32 +721,28 @@ let test_integrate_many_mid_fold_atomicity () =
 
 (* Regression: a Decision_cache lookup must not re-traverse the subtree
    pair (lookups used to structurally hash both trees on every probe).
-   Keys are interned, and the intern pool memoizes by physical identity:
-   once a pair has been seen, further finds with the same physical trees
-   cost zero fresh intern-pool misses — the cached structural hash and a
-   pointer check do all the work. *)
+   Keys are built once, by interning; from then on a find is the key's
+   cached hash and two pointer checks, and never calls into the intern
+   pool — neither a hit nor a miss there. *)
 let test_decision_cache_hit_does_not_retraverse () =
   let deep tag n =
     let rec go i acc = if i = 0 then acc else go (i - 1) (Tree.element tag [ acc ]) in
     go n (Tree.leaf "leaf" tag)
   in
-  let a = deep "a" 300 and b = deep "b" 300 in
-  let cache = Imprecise.Decision_cache.create () in
-  Imprecise.Decision_cache.add cache a b (Imprecise.Oracle.Unsure 0.5);
+  let module Dc = Imprecise.Decision_cache in
+  let a = Dc.key (deep "a" 300) and b = Dc.key (deep "b" 300) in
+  let cache = Dc.create () in
+  Dc.add cache a b (Imprecise.Oracle.Unsure 0.5);
   let count name = Imprecise.Obs.Metrics.count (Imprecise.Obs.Metrics.counter name) in
-  (* warm: the first find may still intern (a cold pool after add is
-     impossible — add interned both trees — but the memo could have been
-     reset); from here on the physical memo must answer *)
-  (match Imprecise.Decision_cache.find cache a b with
-  | Some (Imprecise.Oracle.Unsure p) -> check (Alcotest.float 0.) "verdict" 0.5 p
-  | _ -> Alcotest.fail "warm find missed");
-  let misses0 = count "pxml.intern.miss" in
+  let hits0 = count "pxml.intern.hit" and misses0 = count "pxml.intern.miss" in
   for _ = 1 to 100 do
-    match Imprecise.Decision_cache.find cache a b with
-    | Some _ -> ()
-    | None -> Alcotest.fail "repeat find missed"
+    match Dc.find cache a b with
+    | Some (Imprecise.Oracle.Unsure p) -> check (Alcotest.float 0.) "verdict" 0.5 p
+    | _ -> Alcotest.fail "repeat find missed"
   done;
-  check Alcotest.int "100 cache hits interned nothing new (no re-traversal)" misses0
+  check Alcotest.int "100 cache hits probed no intern pool (hits)" hits0
+    (count "pxml.intern.hit");
+  check Alcotest.int "100 cache hits interned nothing new (misses)" misses0
     (count "pxml.intern.miss")
 
 let suite =

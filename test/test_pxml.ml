@@ -266,10 +266,50 @@ let test_intern_trees_pointer_equal () =
   check Alcotest.bool "distinct allocations" true (tree != copy);
   let a = Imprecise.Intern.tree tree and b = Imprecise.Intern.tree copy in
   check Alcotest.bool "deep-equal trees intern to one pointer" true (a == b);
-  check Alcotest.bool "interned flag" true (Imprecise.Intern.tree_interned a);
-  check Alcotest.int "cached hashes agree" (Imprecise.Intern.tree_hash a)
-    (Imprecise.Intern.tree_hash copy);
+  check Alcotest.bool "canonical form interns to itself" true (Imprecise.Intern.tree a == a);
+  check Alcotest.int "hashes agree" (snd (Imprecise.Intern.tree_hashed a))
+    (snd (Imprecise.Intern.tree_hashed copy));
   check Alcotest.bool "deep_equal fast-paths to true" true (Tree.deep_equal a b)
+
+(* A person tree allocated afresh on every call: the phone number is built
+   at run time, so no two calls share a block. *)
+let fresh_person () =
+  Tree.element "person" [ Tree.leaf "nm" "Ida"; Tree.leaf "tel" (string_of_int 4242) ]
+
+(* Interns [n] fresh copies and keeps them only weakly. Not inlined, so no
+   copy stays reachable from this frame once it returns. *)
+let[@inline never] intern_weak_copies n =
+  let copies = Weak.create n in
+  for i = 0 to n - 1 do
+    let c = fresh_person () in
+    ignore (Imprecise.Intern.tree c);
+    Weak.set copies i (Some c)
+  done;
+  copies
+
+(* Regression: interning pins nothing. The pools hold their canonical
+   values weakly, and nothing else remembers which trees went in, so once
+   the caller drops a non-canonical copy the GC takes it. *)
+let test_intern_pins_nothing () =
+  let canonical = Imprecise.Intern.tree (fresh_person ()) in
+  let copies = intern_weak_copies 1000 in
+  Gc.full_major ();
+  let pinned = ref 0 in
+  for i = 0 to Weak.length copies - 1 do
+    match Weak.get copies i with Some c when c != canonical -> incr pinned | _ -> ()
+  done;
+  check Alcotest.int "non-canonical copies still alive after a full major GC" 0 !pinned;
+  (* deep-equal fresh copies still meet in the pool, and key the decision
+     cache alike *)
+  let a = fresh_person () and b = fresh_person () in
+  let key = Imprecise.Decision_cache.key in
+  check Alcotest.int "decision-cache keys hash alike"
+    (Imprecise.Decision_cache.key_hash (key a))
+    (Imprecise.Decision_cache.key_hash (key b));
+  check Alcotest.bool "both copies intern to one pointer" true
+    (Imprecise.Intern.tree a == Imprecise.Intern.tree b);
+  check Alcotest.bool "the canonical form is the one kept alive" true
+    (Imprecise.Intern.tree a == canonical)
 
 (* ---- codec ------------------------------------------------------------------ *)
 
@@ -343,6 +383,7 @@ let suite =
       [
         t "doc interning shares deep-equal subtrees" test_intern_sharing;
         t "tree interning yields pointer equality" test_intern_trees_pointer_equal;
+        t "interning pins nothing" test_intern_pins_nothing;
       ] );
     ( "pxml.codec",
       [

@@ -81,6 +81,16 @@ let check_experiment ~file experiments name =
     | _ -> fail "%s: %s is zero — instrumentation asleep?" ctx counter
   in
   positive "integrate.pairs_compared";
+  (* every generated pair was either compared or skipped by a blocker *)
+  (match
+     List.map
+       (fun c -> Obs.Json.member c counters)
+       [ "integrate.pairs_generated"; "integrate.pairs_compared"; "integrate.pairs_blocked" ]
+   with
+  | [ Some (Obs.Json.Int g); Some (Obs.Json.Int c); Some (Obs.Json.Int b) ] ->
+      if g <> c + b then
+        fail "%s: pairs_generated %d <> pairs_compared %d + pairs_blocked %d" ctx g c b
+  | _ -> ());
   (* the querying experiments must actually have enumerated worlds, and the
      cache experiment must actually have hit its cache *)
   if starts_with ~prefix:"pquery_" name then positive "pquery.worlds_enumerated";

@@ -663,43 +663,6 @@ let incremental () =
   Printf.printf "\nMary (only in C) is certain:\n";
   print_answers (rank doc "//person[nm='Mary']/tel")
 
-(* ---- extension: scale (blocking) ------------------------------------------------------ *)
-
-let scale () =
-  section "Extension - scaling integration with entity-resolution blocking";
-  let oracle =
-    Imprecise.Oracle.make
-      [ Imprecise.Oracle.deep_equal_rule; Imprecise.Oracle.key_rule ~tag:"person" ~field:"nm" ]
-  in
-  let name_block t =
-    if Tree.name t = Some "person" then Tree.field t "nm" else None
-  in
-  Printf.printf "%-8s %14s %14s %12s\n" "persons" "no blocking" "blocking" "nodes";
-  List.iter
-    (fun n ->
-      let a, b = Data.Addressbook.larger n (1000 + n) in
-      let run block =
-        let cfg =
-          if block then
-            Integrate.config ~oracle ~dtd:Data.Addressbook.dtd ~block:name_block
-              ~factorize:true ()
-          else Integrate.config ~oracle ~dtd:Data.Addressbook.dtd ~factorize:true ()
-        in
-        or_fail "scale run" Integrate.pp_error (Integrate.integrate cfg a b)
-      in
-      let plain_time =
-        if n <= 1000 then (
-          let _, t = time (fun () -> run false) in
-          Printf.sprintf "%.3fs" t)
-        else "(skipped)"
-      in
-      let doc, blocked_time = time (fun () -> run true) in
-      Printf.printf "%-8d %14s %13.3fs %12d\n" n plain_time blocked_time (node_count doc))
-    [ 100; 400; 1000; 4000 ];
-  Printf.printf
-    "the Oracle is O(pairs) without blocking; with block keys computed once per\n\
-     record, cross-block pairs are ruled out before the Oracle ever runs.\n"
-
 (* ---- extension: pluggable blocking ----------------------------------------------------- *)
 
 let integrate_blocking () =
@@ -755,14 +718,8 @@ let integrate_parallel () =
     Imprecise.Oracle.make
       [ Imprecise.Oracle.deep_equal_rule; Imprecise.Oracle.key_rule ~tag:"person" ~field:"nm" ]
   in
-  let name_block t =
-    if Tree.name t = Some "person" then Tree.field t "nm" else None
-  in
   let a, b = Data.Addressbook.larger 800 1800 in
-  let cfg jobs =
-    Integrate.config ~oracle ~dtd:Data.Addressbook.dtd ~block:name_block ~factorize:true
-      ~jobs ()
-  in
+  let cfg jobs = Integrate.config ~oracle ~dtd:Data.Addressbook.dtd ~factorize:true ~jobs () in
   let run jobs =
     or_fail "parallel integrate" Integrate.pp_error (Integrate.integrate (cfg jobs) a b)
   in
@@ -785,26 +742,25 @@ let integrate_incremental_bench () =
     Imprecise.parse_xml_exn
       "<addressbook><person><nm>John</nm><tel>1111</tel></person><person><nm>Mary</nm><tel>3333</tel></person></addressbook>"
   in
-  let oracle_rules = Rulesets.generic in
   let sources = [ Data.Addressbook.source_a; Data.Addressbook.source_b; third ] in
-  let plain, t_plain =
-    time (fun () ->
-        or_fail "integrate_all" Integrate.pp_error
-          (integrate_all ~rules:oracle_rules ~dtd:Data.Addressbook.dtd sources))
-  in
+  let decisions = Decision_cache.create () in
   let hits = Obs.Metrics.counter "oracle.cache.hit" in
-  let h0 = Obs.Metrics.count hits in
-  let cached, t_cached =
-    time (fun () ->
-        or_fail "integrate_many" Integrate.pp_error
-          (integrate_many ~rules:oracle_rules ~dtd:Data.Addressbook.dtd ~jobs:2 sources))
+  let fold label =
+    let h0 = Obs.Metrics.count hits in
+    let doc, t =
+      time (fun () ->
+          or_fail "integrate_many" Integrate.pp_error
+            (integrate_many ~rules:Rulesets.generic ~dtd:Data.Addressbook.dtd ~decisions
+               sources))
+    in
+    Printf.printf "%s cache: %.4fs   oracle.cache.hit: +%d\n" label t
+      (Obs.Metrics.count hits - h0);
+    doc
   in
-  Printf.printf "three sources folded; worlds: %g\n" (world_count cached);
-  Printf.printf "integrate_all  (no cache): %.4fs\n" t_plain;
-  Printf.printf "integrate_many (cache+jobs=2): %.4fs   oracle.cache.hit: +%d\n" t_cached
-    (Obs.Metrics.count hits - h0);
-  Printf.printf "results agree: %b\n"
-    (Codec.to_string plain = Codec.to_string cached);
+  let cold = fold "cold" in
+  let warm = fold "warm" in
+  Printf.printf "three sources folded; worlds: %g\n" (world_count cold);
+  Printf.printf "results agree: %b\n" (Codec.to_string cold = Codec.to_string warm);
   Printf.printf
     "(the incremental step re-integrates the new source against every prior\n\
      world; the decision cache answers the repeated subtree pairs without\n\
@@ -1048,7 +1004,6 @@ let experiments =
     ("sampling", sampling);
     ("threshold", threshold);
     ("incremental", incremental);
-    ("scale", scale);
     ("integrate_parallel", integrate_parallel);
     ("integrate_incremental", integrate_incremental_bench);
     ("integrate_blocking", integrate_blocking);

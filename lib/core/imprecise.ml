@@ -66,30 +66,15 @@ let integration_stats ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?bl
   Integrate.stats (config_of_rules rules ~dtd ?factorize ?blocker ?budget ()) left right
 
 (* Fold a whole list of sources into one probabilistic document: ordinary
-   integration for the first two, incremental integration for the rest. *)
-let integrate_all ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?blocker
-    ?world_limit sources =
-  match sources with
-  | [] -> Error (Integrate.Root_mismatch ("(no", "sources)"))
-  | [ only ] -> Ok (Pxml.doc_of_tree only)
-  | first :: second :: rest ->
-      let cfg = config_of_rules rules ~dtd ?factorize ?blocker () in
-      Result.bind (Integrate.integrate cfg first second) (fun doc ->
-          List.fold_left
-            (fun acc source ->
-              Result.bind acc (fun doc ->
-                  Integrate.integrate_incremental cfg ?world_limit doc source))
-            (Ok doc) rest)
-
-(* Batch integration through the parallel engine: one decision cache for
-   the whole fold, so a subtree pair decided while integrating source k is
-   free when source k+1 (or a later world of the same incremental step)
-   meets it again. The cache is created fresh here — it must not outlive
-   the rule set it memoizes. *)
+   integration for the first two, incremental integration for the rest.
+   One decision cache serves the whole fold, so a subtree pair decided
+   while integrating source k is free when source k+1 (or a later world of
+   the same incremental step) meets it again. The cache is created fresh
+   here — it must not outlive the rule set it memoizes. *)
 let integrate_many ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?blocker
     ?world_limit ?jobs ?decisions ?budget sources =
   match sources with
-  | [] -> Error (Integrate.Root_mismatch ("(no", "sources)"))
+  | [] -> Error Integrate.No_sources
   | [ only ] -> Ok (Pxml.doc_of_tree only)
   | first :: second :: rest ->
       let decisions =

@@ -122,29 +122,20 @@ val integration_stats :
   Tree.t ->
   (Integrate.summary, Integrate.error) result
 
-(** [integrate_all ?rules ?dtd ?factorize ?world_limit sources] folds any
-    number of sources into one probabilistic document: ordinary integration
-    for the first two, {!Integrate.integrate_incremental} for each further
-    source. A single source yields its certain embedding; an empty list is
-    an error. *)
-val integrate_all :
-  ?rules:Rulesets.t ->
-  ?dtd:Dtd.t ->
-  ?factorize:bool ->
-  ?blocker:Blocking.spec ->
-  ?world_limit:float ->
-  Tree.t list ->
-  (Pxml.doc, Integrate.error) result
+(** [integrate_many ?rules ?dtd ?factorize ?world_limit ?jobs sources]
+    folds any number of sources into one probabilistic document: ordinary
+    integration for the first two, {!Integrate.integrate_incremental} for
+    each further source. A single source yields its certain embedding; an
+    empty list is [Error No_sources].
 
-(** [integrate_many ?jobs sources] is {!integrate_all} through the parallel
-    incremental engine: every candidate grid is scored by [jobs] OCaml
-    domains ({!Integrate.config}'s [jobs] — bit-identical to sequential for
-    any value), and one {!Decision_cache} is shared across the whole fold,
-    so subtree pairs already decided for an earlier source are not
-    re-decided for later ones. By default the cache is created per call and
-    dies with it (rule sets are caller-supplied, so it must not persist);
-    pass [decisions] to reuse one across folds {e of the same rule set} —
-    the fold is atomic with respect to it: on [Error] the cache holds only
+    Every candidate grid is scored by [jobs] OCaml domains
+    ({!Integrate.config}'s [jobs] — bit-identical to sequential for any
+    value), and one {!Decision_cache} is shared across the whole fold, so
+    subtree pairs already decided for an earlier source are not re-decided
+    for later ones. By default the cache is created per call and dies with
+    it (rule sets are caller-supplied, so it must not persist); pass
+    [decisions] to reuse one across folds {e of the same rule set} — the
+    fold is atomic with respect to it: on [Error] the cache holds only
     sound individual verdicts, never partial fold state.
 
     [budget] ({!Resilience.Budget}) bounds the whole fold — candidate-grid

@@ -1,7 +1,7 @@
 (** Pluggable entity-resolution blocking (doc/integrate.md has the
     catalogue).
 
-    A blocker runs in front of {!Matching.graph_of_outcomes}: from the two
+    A blocker runs in front of {!Matching.graph}: from the two
     child arrays it compiles a {e plan} — per left child, the ascending list
     of right children worth comparing — and only those cells of the
     candidate grid reach the Oracle. The pairs a blocker skips are exactly

@@ -20,17 +20,14 @@ let c_generated = Obs.Metrics.counter "integrate.pairs_generated"
 
 let c_blocked = Obs.Metrics.counter "integrate.pairs_blocked"
 
-(* Per-blocker pruning counters, one per preset so the catalogue is stable;
-   "all" never blocks and stays 0. *)
+(* Per-blocker pruning counters, one per [Blocking.name] so the catalogue
+   is stable; "all" never blocks and stays 0. *)
 let blocker_counters =
   List.map
     (fun n -> (n, Obs.Metrics.counter ("integrate.blocked." ^ n)))
     [ "all"; "key"; "qgram"; "sortedneighbourhood" ]
 
-let c_blocked_by name =
-  match List.assoc_opt name blocker_counters with
-  | Some c -> c
-  | None -> Obs.Metrics.counter ("integrate.blocked." ^ name)
+let c_blocked_by name = List.assoc name blocker_counters
 
 let c_unsure = Obs.Metrics.counter "integrate.unsure_pairs"
 
@@ -50,10 +47,8 @@ type config = {
   factorize : bool;
   value_conflict : Tree.t -> Tree.t -> float;
   reconcile : string -> string -> string -> string option;
-  block : Tree.t -> string option;
   blocker : Blocking.spec;
   max_possibilities : int;
-  max_matchings : int;
   jobs : int;
   decisions : Oracle.Decision_cache.t option;
   budget : Budget.t option;
@@ -61,8 +56,7 @@ type config = {
 
 let config ~oracle ?(dtd = Xml.Dtd.empty) ?(factorize = false)
     ?(value_conflict = fun _ _ -> 0.5) ?(reconcile = fun _ _ _ -> None)
-    ?(block = fun _ -> None) ?(blocker = Blocking.All_pairs)
-    ?(max_possibilities = 1_000_000) ?(max_matchings = 1_000_000) ?(jobs = 1)
+    ?(blocker = Blocking.All_pairs) ?(max_possibilities = 1_000_000) ?(jobs = 1)
     ?decisions ?budget () =
   if jobs < 1 then invalid_arg "Integrate.config: jobs must be >= 1";
   {
@@ -71,14 +65,15 @@ let config ~oracle ?(dtd = Xml.Dtd.empty) ?(factorize = false)
     factorize;
     value_conflict;
     reconcile;
-    block;
     blocker;
     max_possibilities;
-    max_matchings;
     jobs;
     decisions;
     budget;
   }
+
+(* Enumeration cap per cluster of the candidate graph. *)
+let max_matchings = 1_000_000
 
 type error =
   | Root_mismatch of string * string
@@ -87,6 +82,7 @@ type error =
   | Oracle_conflict of string
   | Infeasible of string
   | Budget_exceeded of string
+  | No_sources
 
 let pp_error ppf = function
   | Root_mismatch (a, b) -> Fmt.pf ppf "root elements differ: <%s> vs <%s>" a b
@@ -95,6 +91,7 @@ let pp_error ppf = function
   | Oracle_conflict msg -> Fmt.pf ppf "oracle conflict: %s" msg
   | Infeasible msg -> Fmt.pf ppf "infeasible integration: %s" msg
   | Budget_exceeded reason -> Fmt.pf ppf "budget exceeded (%s); raise --timeout-ms/--max-worlds" reason
+  | No_sources -> Fmt.pf ppf "no sources to integrate"
 
 type trace = {
   mutable unsure_pairs : int;
@@ -266,13 +263,9 @@ module Engine (R : REP) = struct
         l
     in
     let ga = Array.of_list (general ea) and gb = Array.of_list (general eb) in
-    (* 2. Candidate graph over the general pool. Block keys are computed
-       once per child; pairs in different blocks never reach the Oracle —
-       the standard entity-resolution blocking optimisation (sound only if
-       the blocking function is, which is the caller's promise). *)
-    let blocks_a = Array.map cfg.block ga and blocks_b = Array.map cfg.block gb in
-    (* Decision-cache keys likewise: one intern traversal per child, here
-       and single-threaded, so the band workers never take the intern lock. *)
+    (* 2. Candidate graph over the general pool. Decision-cache keys are
+       built once per child: one intern traversal each, here and
+       single-threaded, so the band workers never take the intern lock. *)
     let decide =
       match cfg.decisions with
       | None -> fun i j -> O.decide cfg.oracle ga.(i) gb.(j)
@@ -281,23 +274,14 @@ module Engine (R : REP) = struct
           let keys_a = Array.map key ga and keys_b = Array.map key gb in
           fun i j -> Oracle.Decision_cache.decide cache cfg.oracle keys_a.(i) keys_b.(j)
     in
-    (* The outcome function is called from [cfg.jobs] domains at once, so it
+    (* The verdict function is called from [cfg.jobs] domains at once, so it
        must not touch [trace] or bump counters one by one: each domain keeps
        a private tally, and the merged totals are folded in below — exact
        counts with no cross-domain mutation. The only shared state it
        reaches is the decision cache, which synchronises internally. *)
-    let outcome i j =
-      if Tree.name ga.(i) <> Tree.name gb.(j) then Matching.Verdict O.Different
-      else if
-        match blocks_a.(i), blocks_b.(j) with
-        | Some ka, Some kb -> not (String.equal ka kb)
-        | _ -> false
-      then Matching.Blocked
-      else
-        let v =
-          try decide i j with O.Conflict msg -> raise (Run_error (Oracle_conflict msg))
-        in
-        Matching.Verdict v
+    let verdict i j =
+      if Tree.name ga.(i) <> Tree.name gb.(j) then O.Different
+      else try decide i j with O.Conflict msg -> raise (Run_error (Oracle_conflict msg))
     in
     (* 3. Compile the blocker's candidate plan — the pluggable stage in
        front of the grid. The plan is built here, before any domain fans
@@ -315,30 +299,29 @@ module Engine (R : REP) = struct
     in
     let graph, tally =
       Obs.Trace.with_span "match" (fun () ->
-          Matching.graph_of_outcomes ?budget:cfg.budget ?candidates:plan
-            ~jobs:cfg.jobs ~n_left:(Array.length ga) ~n_right:(Array.length gb)
-            outcome)
+          Matching.graph ?budget:cfg.budget ?candidates:plan ~jobs:cfg.jobs
+            ~n_left:(Array.length ga) ~n_right:(Array.length gb) verdict)
     in
+    let blocked = tally.Matching.generated - tally.Matching.pairs in
     trace.pairs_generated <- trace.pairs_generated + tally.Matching.generated;
     trace.pairs_compared <- trace.pairs_compared + tally.Matching.pairs;
-    trace.pairs_blocked <- trace.pairs_blocked + tally.Matching.blocked;
+    trace.pairs_blocked <- trace.pairs_blocked + blocked;
     trace.same_pairs <- trace.same_pairs + tally.Matching.same;
     trace.unsure_pairs <- trace.unsure_pairs + tally.Matching.unsure;
     Obs.Metrics.incr ~by:tally.Matching.generated c_generated;
     Obs.Metrics.incr ~by:tally.Matching.pairs c_pairs;
-    Obs.Metrics.incr ~by:tally.Matching.blocked c_blocked;
+    Obs.Metrics.incr ~by:blocked c_blocked;
     Obs.Metrics.incr ~by:tally.Matching.same c_same;
     Obs.Metrics.incr ~by:tally.Matching.unsure c_unsure;
-    let index_blocked = tally.Matching.generated - tally.Matching.pairs in
-    if index_blocked > 0 then begin
-      Obs.Metrics.incr ~by:index_blocked (c_blocked_by (Blocking.name cfg.blocker));
+    if blocked > 0 then begin
+      Obs.Metrics.incr ~by:blocked (c_blocked_by (Blocking.name cfg.blocker));
       Obs.Event.emit
         ~fields:
           [
             ("blocker", Obs.Json.String (Blocking.name cfg.blocker));
             ("generated", Obs.Json.Int tally.Matching.generated);
             ("compared", Obs.Json.Int tally.Matching.pairs);
-            ("blocked", Obs.Json.Int index_blocked);
+            ("blocked", Obs.Json.Int blocked);
           ]
         "integrate.block"
     end;
@@ -366,7 +349,7 @@ module Engine (R : REP) = struct
     let cluster_possibilities (c : Matching.cluster) : (float * R.node list) list =
       let ms =
         Obs.Trace.with_span "enumerate" (fun () ->
-            try Matching.matchings ~limit:cfg.max_matchings c with
+            try Matching.matchings ~limit:max_matchings c with
             | Matching.Too_many n -> raise (Run_error (Too_large n))
             | Matching.Infeasible msg -> raise (Run_error (Infeasible msg)))
       in

@@ -45,32 +45,25 @@ type config = {
       (** [reconcile tag left right] may resolve a value conflict under a
           leaf [tag] to one canonical value — knowledge such as "these are
           the same director name in two conventions". Default: never. *)
-  block : Xml.Tree.t -> string option;
-      (** Entity-resolution blocking: children whose block keys are both
-          present and different are ruled out {e without} consulting the
-          Oracle (computed once per child — this is what makes
-          10⁴-record integrations fast). Children without a key pair with
-          everything. Soundness is the blocking function's contract.
-          Default: no blocking. *)
   blocker : Blocking.spec;
-      (** Pluggable candidate-indexing stage ({!Blocking}): compiles a
-          per-grid plan (key buckets, inverted q-gram index, or sorted
+      (** Entity-resolution blocking ({!Blocking}): compiles a per-grid
+          candidate plan (key buckets, inverted q-gram index, or sorted
           neighbourhood) so only plausible pairs are {e visited} at all —
-          unlike [block], which still evaluates every cell. Default
-          {!Blocking.All_pairs} (full grid, legacy behaviour). Recall
-          safety relative to the Oracle is the caller's contract, certified
-          for the shipped presets by [dune build @block-stress]. *)
+          skipped pairs never reach the Oracle. Default
+          {!Blocking.All_pairs} (full grid). Recall safety relative to the
+          Oracle is the caller's contract, certified for the shipped
+          presets by [dune build @block-stress]. *)
   max_possibilities : int;
       (** materialisation cap for a single probability node; {!integrate}
-          fails with [Too_large] beyond it (default 1_000_000) *)
-  max_matchings : int;
-      (** enumeration cap per cluster (default 1_000_000) *)
+          fails with [Too_large] beyond it (default 1_000_000). A single
+          cluster is also capped at 1_000_000 matchings. *)
   jobs : int;
       (** OCaml domains scoring each candidate grid (default 1). Any value
           produces a bit-identical result to [jobs = 1] — the grid is
           sharded into contiguous row bands whose edge buffers and tallies
           are merged deterministically (see doc/integrate.md). Requires
-          the Oracle's rules, [value_conflict] and [block] to be pure. *)
+          the Oracle's rules, [value_conflict] and the blocker's key
+          function to be pure. *)
   decisions : Oracle.Decision_cache.t option;
       (** memoize Oracle verdicts by subtree pair across (and within)
           runs; default [None]. See {!Oracle.Decision_cache} for the
@@ -92,10 +85,8 @@ val config :
   ?factorize:bool ->
   ?value_conflict:(Xml.Tree.t -> Xml.Tree.t -> float) ->
   ?reconcile:(string -> string -> string -> string option) ->
-  ?block:(Xml.Tree.t -> string option) ->
   ?blocker:Blocking.spec ->
   ?max_possibilities:int ->
-  ?max_matchings:int ->
   ?jobs:int ->
   ?decisions:Oracle.Decision_cache.t ->
   ?budget:Imprecise_resilience.Budget.t ->
@@ -114,6 +105,7 @@ type error =
   | Budget_exceeded of string
       (** the configured {!Imprecise_resilience.Budget} tripped (deadline,
           world pool, or explicit cancellation — the string names which) *)
+  | No_sources  (** a fold was given an empty source list *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -130,15 +122,12 @@ type trace = {
       (** every pair of the full candidate grids ([n_left * n_right]
           summed), whether or not it was visited *)
   mutable pairs_compared : int;
-      (** grid cells actually evaluated, including tag mismatches and
-          rule-level blocked pairs that never reached the Oracle. Equal to
-          [pairs_generated] unless a [blocker] index skipped cells. *)
+      (** grid cells actually evaluated, including tag mismatches that
+          never reached the Oracle. Equal to [pairs_generated] unless a
+          [blocker] index skipped cells. *)
   mutable pairs_blocked : int;
-      (** pairs ruled out before the Oracle ran — by the [blocker] index
-          (skipped without evaluation) or by the [block] key (evaluated,
-          then dropped). Invariant:
-          [pairs_generated = pairs_compared + pairs_blocked - rule-level
-          blocks]. *)
+      (** pairs the [blocker] index skipped without evaluation. Invariant:
+          [pairs_generated = pairs_compared + pairs_blocked]. *)
 }
 
 (** Exact size measures computed without materialising: [nodes] mirrors

@@ -164,23 +164,19 @@ let count_matchings cluster = enumerate cluster (fun _ -> ())
 
 let clamp_prob p = Float.max 1e-9 (Float.min (1. -. 1e-9) p)
 
-type outcome = Verdict of Oracle.verdict | Blocked
-
 type tally = {
   generated : int;
   pairs : int;
-  blocked : int;
   same : int;
   unsure : int;
 }
 
-let empty_tally = { generated = 0; pairs = 0; blocked = 0; same = 0; unsure = 0 }
+let empty_tally = { generated = 0; pairs = 0; same = 0; unsure = 0 }
 
 let add_tally a b =
   {
     generated = a.generated + b.generated;
     pairs = a.pairs + b.pairs;
-    blocked = a.blocked + b.blocked;
     same = a.same + b.same;
     unsure = a.unsure + b.unsure;
   }
@@ -189,54 +185,42 @@ let add_tally a b =
    Returns the band's edges (in that order) and its private tally — no
    shared mutable state, so bands can run on separate domains. With
    [candidates], only the listed cells of each row are evaluated; the rest
-   are counted as blocked without being visited (that skip, not a cheaper
-   per-cell check, is what makes 100k-row grids tractable). Candidate rows
-   must be ascending so the edge order stays row-major. *)
-let eval_band ?budget ?candidates ~lo ~hi ~n_right outcome =
+   are skipped without being visited (that skip, not a cheaper per-cell
+   check, is what makes 100k-row grids tractable). Candidate rows must be
+   ascending so the edge order stays row-major. *)
+let eval_band ?budget ?candidates ~lo ~hi ~n_right verdict =
   let edges = ref [] in
-  let generated = ref 0 in
-  let pairs = ref 0 and blocked = ref 0 and same = ref 0 and unsure = ref 0 in
+  let pairs = ref 0 and same = ref 0 and unsure = ref 0 in
   let eval i j =
     Option.iter Budget.tick budget;
     incr pairs;
-    match outcome i j with
-    | Blocked -> incr blocked
-    | Verdict Oracle.Same ->
+    match verdict i j with
+    | Oracle.Same ->
         incr same;
         edges := { left = i; right = j; prob = 1. } :: !edges
-    | Verdict Oracle.Different -> ()
-    | Verdict (Oracle.Unsure p) ->
+    | Oracle.Different -> ()
+    | Oracle.Unsure p ->
         incr unsure;
         if p > 0. then edges := { left = i; right = j; prob = clamp_prob p } :: !edges
   in
   for i = lo to hi - 1 do
-    generated := !generated + n_right;
     match candidates with
     | None -> for j = 0 to n_right - 1 do eval i j done
-    | Some row ->
-        let js : int list = row i in
-        blocked := !blocked + (n_right - List.length js);
-        List.iter (fun j -> eval i j) js
+    | Some row -> List.iter (fun j -> eval i j) (row i)
   done;
   ( List.rev !edges,
-    {
-      generated = !generated;
-      pairs = !pairs;
-      blocked = !blocked;
-      same = !same;
-      unsure = !unsure;
-    } )
+    { generated = (hi - lo) * n_right; pairs = !pairs; same = !same; unsure = !unsure } )
 
 (* Grids smaller than this run sequentially whatever [jobs] says: spawning
    a domain costs more than deciding this few pairs. Equality of the two
    plans is unconditional (see below), so the gate is pure performance. *)
 let par_grid_min = 64
 
-let graph_of_outcomes ?budget ?candidates ?(jobs = 1) ~n_left ~n_right outcome =
+let graph ?budget ?candidates ?(jobs = 1) ~n_left ~n_right verdict =
   let jobs = max 1 (min jobs n_left) in
   let jobs = if n_left * n_right < par_grid_min then 1 else jobs in
   if jobs <= 1 then begin
-    let edges, tally = eval_band ?budget ?candidates ~lo:0 ~hi:n_left ~n_right outcome in
+    let edges, tally = eval_band ?budget ?candidates ~lo:0 ~hi:n_left ~n_right verdict in
     ({ n_left; n_right; edges }, tally)
   end
   else begin
@@ -258,7 +242,7 @@ let graph_of_outcomes ?budget ?candidates ?(jobs = 1) ~n_left ~n_right outcome =
     in
     let guarded d () =
       let lo, hi = band d in
-      match eval_band ?budget ?candidates ~lo ~hi ~n_right outcome with
+      match eval_band ?budget ?candidates ~lo ~hi ~n_right verdict with
       | result -> Ok result
       | exception e ->
           Option.iter Budget.cancel budget;
@@ -271,6 +255,3 @@ let graph_of_outcomes ?budget ?candidates ?(jobs = 1) ~n_left ~n_right outcome =
     let tally = List.fold_left (fun acc (_, t) -> add_tally acc t) empty_tally parts in
     ({ n_left; n_right; edges }, tally)
   end
-
-let graph_of_verdicts ?jobs ~n_left ~n_right verdict =
-  fst (graph_of_outcomes ?jobs ~n_left ~n_right (fun i j -> Verdict (verdict i j)))

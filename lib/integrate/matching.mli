@@ -48,42 +48,29 @@ val matchings : ?limit:int -> cluster -> (float * (int * int) list) list
     matchings, without materialising them. *)
 val count_matchings : cluster -> int
 
-(** What happened to one candidate pair: either the Oracle (or a
-    tag/structure check) produced a verdict, or blocking pruned the pair
-    before any Oracle call. *)
-type outcome = Verdict of Imprecise_oracle.Oracle.verdict | Blocked
-
 type tally = {
   generated : int;
   pairs : int;
-  blocked : int;
   same : int;
   unsure : int;
 }
 (** Per-grid bookkeeping: [generated] is the full grid size
     ([n_left * n_right] — every pair that exists), [pairs] the cells
-    actually evaluated ([outcome] called), [blocked] the pairs pruned
-    either by the candidate index (skipped without evaluation) or by a
-    rule-level [Blocked] outcome, [same]/[unsure] the Oracle verdicts of
-    those kinds. Invariants: [generated = pairs + (blocked - rule-level
-    blocks)], and without a candidate index [generated = pairs]. Collected
+    actually evaluated ([verdict] called), [same]/[unsure] the verdicts of
+    those kinds. The cells a candidate index skipped number
+    [generated - pairs]; without an index [generated = pairs]. Collected
     privately per domain and summed, so the totals are exact whatever
     [jobs] is. *)
 
-val empty_tally : tally
-
-val add_tally : tally -> tally -> tally
-
-(** [graph_of_outcomes ?jobs ~n_left ~n_right outcome] builds the candidate
-    graph by consulting [outcome left right] for every cell of the grid:
-    [Verdict Same] ⇒ forced edge, [Verdict Different] or [Blocked] ⇒ no
-    edge, [Verdict (Unsure p)] ⇒ edge with probability [p] (clamped away
-    from 0 and 1), and returns the tally alongside.
+(** [graph ?jobs ~n_left ~n_right verdict] builds the candidate graph by
+    consulting [verdict left right] for every cell of the grid: [Same] ⇒
+    forced edge, [Different] ⇒ no edge, [Unsure p] ⇒ edge with probability
+    [p] (clamped away from 0 and 1), and returns the tally alongside.
 
     [candidates] (from {!Blocking.candidates}) restricts each row [i] to
     the cells [candidates i]: only those are evaluated (and ticked against
-    the budget); the rest of the row is counted as blocked without being
-    visited. The lists must be ascending, duplicate-free right indices in
+    the budget); the rest of the row is skipped without being visited. The
+    lists must be ascending, duplicate-free right indices in
     [0, n_right) — ascending order preserves the row-major edge order, so
     the band sharding below stays bit-identical for every [jobs] with any
     blocker. [candidates] is called from every band domain, so it must be a
@@ -93,11 +80,11 @@ val add_tally : tally -> tally -> tally
     domain per band. Each band buffers its edges and tally privately; the
     buffers are concatenated in band order, which reproduces the
     sequential row-major edge order exactly — the result is bit-identical
-    to [jobs = 1] for every [jobs]. [outcome] must therefore be safe to
+    to [jobs = 1] for every [jobs]. [verdict] must therefore be safe to
     call from multiple domains at once (pure, or internally synchronised),
     and must not depend on call order. Grids smaller than an internal
     threshold run sequentially regardless of [jobs]. If any band's
-    [outcome] raises (e.g. an Oracle conflict), every domain is joined
+    [verdict] raises (e.g. an Oracle conflict), every domain is joined
     first and then the first failure in band order is re-raised —
     whichever band it came from; no domain leaks.
 
@@ -105,21 +92,11 @@ val add_tally : tally -> tally -> tally
     cell; a blown deadline or work pool raises [Budget.Exceeded], and
     with [jobs > 1] the tripping band cancels the shared budget so its
     siblings stop at their next tick instead of finishing their bands. *)
-val graph_of_outcomes :
+val graph :
   ?budget:Imprecise_resilience.Budget.t ->
   ?candidates:(int -> int list) ->
   ?jobs:int ->
   n_left:int ->
   n_right:int ->
-  (int -> int -> outcome) ->
-  graph * tally
-
-(** [graph_of_verdicts ?jobs ~n_left ~n_right verdict] is
-    {!graph_of_outcomes} over [fun i j -> Verdict (verdict i j)], with the
-    tally discarded. *)
-val graph_of_verdicts :
-  ?jobs:int ->
-  n_left:int ->
-  n_right:int ->
   (int -> int -> Imprecise_oracle.Oracle.verdict) ->
-  graph
+  graph * tally

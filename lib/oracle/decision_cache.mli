@@ -21,7 +21,7 @@
     engine creates one per {!val:Imprecise.integrate_many} call).
 
     The cache is a mutex-guarded LRU, safe to consult from the parallel
-    domains of [Matching.graph_of_outcomes]. Hits, misses and evictions
+    domains of [Matching.graph]. Hits, misses and evictions
     are counted under [oracle.cache.hit] / [oracle.cache.miss] /
     [oracle.cache.evict]; note that a cache hit skips [Oracle.decide],
     so [oracle.decisions] and per-rule fired counters only grow on

@@ -142,7 +142,12 @@ let same_outcome seed label (a : Integrate.trace) (b : Integrate.trace) =
   field "cluster_count" a.Integrate.cluster_count b.Integrate.cluster_count;
   if b.Integrate.pairs_compared > a.Integrate.pairs_compared then
     fail seed "%s: blocker compared more pairs (%d) than the full grid (%d)" label
-      b.Integrate.pairs_compared a.Integrate.pairs_compared
+      b.Integrate.pairs_compared a.Integrate.pairs_compared;
+  (* every generated pair was either compared or blocked, never both *)
+  if b.Integrate.pairs_generated <> b.Integrate.pairs_compared + b.Integrate.pairs_blocked
+  then
+    fail seed "%s: generated %d <> compared %d + blocked %d" label
+      b.Integrate.pairs_generated b.Integrate.pairs_compared b.Integrate.pairs_blocked
 
 let check_fuzz_case seed =
   let rng = Prng.make seed in

@@ -69,16 +69,16 @@ let test_rulesets_decide_movie_pairs () =
   | Oracle.Different -> ()
   | v -> Alcotest.failf "cross-franchise should be Different, got %a" Oracle.pp_verdict v
 
-let test_integrate_all () =
+let test_integrate_many () =
   let book tel =
     Imprecise.parse_xml_exn
       (Printf.sprintf
          "<addressbook><person><nm>John</nm><tel>%s</tel></person></addressbook>" tel)
   in
-  (match Imprecise.integrate_all ~rules:Rulesets.generic ~dtd:Addressbook.dtd
+  (match Imprecise.integrate_many ~rules:Rulesets.generic ~dtd:Addressbook.dtd
            [ book "1111"; book "2222"; book "1111" ]
    with
-  | Error e -> Alcotest.failf "integrate_all failed: %a" Integrate.pp_error e
+  | Error e -> Alcotest.failf "integrate_many failed: %a" Integrate.pp_error e
   | Ok doc ->
       check Alcotest.bool "valid" true (Result.is_ok (Imprecise.Pxml.validate doc));
       (* three sources, two say 1111 *)
@@ -89,11 +89,14 @@ let test_integrate_all () =
         | None -> 0.
       in
       check Alcotest.bool "majority number more likely" true (p "1111" > p "2222"));
-  (match Imprecise.integrate_all [ Imprecise.parse_xml_exn "<r><a>1</a></r>" ] with
+  (match Imprecise.integrate_many [ Imprecise.parse_xml_exn "<r><a>1</a></r>" ] with
   | Ok doc -> check Alcotest.bool "single source is certain" true (Imprecise.Pxml.is_certain doc)
   | Error e -> Alcotest.failf "single source failed: %a" Integrate.pp_error e);
-  match Imprecise.integrate_all [] with
-  | Error _ -> ()
+  match Imprecise.integrate_many [] with
+  | Error (Integrate.No_sources as e) ->
+      check Alcotest.string "empty-list error text" "no sources to integrate"
+        (Fmt.str "%a" Integrate.pp_error e)
+  | Error e -> Alcotest.failf "wrong error for no sources: %a" Integrate.pp_error e
   | Ok _ -> Alcotest.fail "empty source list accepted"
 
 let suite =
@@ -104,7 +107,7 @@ let suite =
         t "parse_xml" test_parse_xml;
         t "integrate + rank one-liners" test_facade_integrate_and_rank;
         t "stats mirrors through the facade" test_facade_stats_agree;
-        t "integrate_all folds many sources" test_integrate_all;
+        t "integrate_many folds many sources" test_integrate_many;
         t "query_certain" test_query_certain;
       ] );
     ( "core.rulesets",

@@ -8,6 +8,7 @@ module Worlds = Imprecise.Worlds
 module Compact = Imprecise.Compact
 module Oracle = Imprecise.Oracle
 module Integrate = Imprecise.Integrate
+module Blocking = Imprecise.Blocking
 module Pquery = Imprecise.Pquery
 module Answer = Imprecise.Answer
 module Quality = Imprecise.Quality
@@ -354,24 +355,19 @@ let test_incremental_guard () =
 let person_oracle =
   Oracle.make [ Oracle.deep_equal_rule; Oracle.key_rule ~tag:"person" ~field:"nm" ]
 
-let name_block t =
-  if Tree.name t = Some "person" then Tree.field t "nm" else None
+let name_blocker = Blocking.key ~field:"nm" ()
 
 let test_blocking_preserves_result () =
   (* The name-key rule and name blocking agree, so blocking must not change
      the result distribution. *)
   let a, b = Addressbook.larger 40 3 in
-  let run block =
-    let cfg =
-      if block then
-        Integrate.config ~oracle:person_oracle ~dtd:Addressbook.dtd ~block:name_block ()
-      else Integrate.config ~oracle:person_oracle ~dtd:Addressbook.dtd ()
-    in
+  let run blocker =
+    let cfg = Integrate.config ~oracle:person_oracle ~dtd:Addressbook.dtd ~blocker () in
     match Integrate.integrate cfg a b with
     | Ok doc -> doc
     | Error e -> Alcotest.failf "integration failed: %a" Integrate.pp_error e
   in
-  let plain = run false and blocked = run true in
+  let plain = run Blocking.All_pairs and blocked = run name_blocker in
   check Alcotest.int "same node count" (Pxml.node_count plain) (Pxml.node_count blocked);
   check (Alcotest.float 1e-6) "same world count" (Pxml.world_count plain)
     (Pxml.world_count blocked)
@@ -380,7 +376,7 @@ let test_blocking_scales () =
   (* 1000-person books integrate in well under a second with blocking. *)
   let a, b = Addressbook.larger 1000 9 in
   let cfg =
-    Integrate.config ~oracle:person_oracle ~dtd:Addressbook.dtd ~block:name_block
+    Integrate.config ~oracle:person_oracle ~dtd:Addressbook.dtd ~blocker:name_blocker
       ~factorize:true ()
   in
   let t0 = Unix.gettimeofday () in
@@ -406,8 +402,9 @@ let test_blocking_prunes_cross_block () =
   in
   let a = Imprecise.parse_xml_exn "<r><p><k>a</k></p><p><k>b</k></p></r>" in
   let b = Imprecise.parse_xml_exn "<r><p><k>c</k></p><p><k>a</k></p></r>" in
-  let block t = Tree.field t "k" in
-  let cfg = Integrate.config ~oracle:(Oracle.make [ spy ]) ~block () in
+  let cfg =
+    Integrate.config ~oracle:(Oracle.make [ spy ]) ~blocker:(Blocking.key ~field:"k" ()) ()
+  in
   (match Integrate.integrate cfg a b with Ok _ -> () | Error e -> Alcotest.failf "%a" Integrate.pp_error e);
   check Alcotest.int "only the same-key pair consulted" 1 !calls
 

@@ -94,12 +94,13 @@ let test_clusters () =
   check Alcotest.(list int) "isolated lefts" [ 3 ] iso_l;
   check Alcotest.(list int) "isolated rights" [ 1; 3 ] iso_r
 
-let test_graph_of_verdicts () =
+let test_graph_from_verdicts () =
   let verdict i j =
     if i = j then Oracle.Same else if i < j then Oracle.Unsure 0.3 else Oracle.Different
   in
-  let g = Matching.graph_of_verdicts ~n_left:2 ~n_right:2 verdict in
-  check Alcotest.int "edges" 3 (List.length g.Matching.edges)
+  let g, tally = Matching.graph ~n_left:2 ~n_right:2 verdict in
+  check Alcotest.int "edges" 3 (List.length g.Matching.edges);
+  check Alcotest.int "every cell evaluated" 4 tally.Matching.pairs
 
 (* ---- integration: figure 2 -------------------------------------------------- *)
 
@@ -620,19 +621,15 @@ let test_typical_pinned_under_blockers () =
     ]
 
 (* Regression for the pair-accounting fix: generated / compared / blocked
-   must stay consistent whether pruning happens at the rule level
-   ([block], evaluated then dropped), at the index level ([blocker],
-   skipped without evaluation), both, or neither. *)
+   must stay consistent with and without a candidate index ([blocker],
+   skipped cells are never evaluated). *)
 let test_blocking_counter_consistency () =
   let a, b = Addressbook.larger 30 5 in
   let oracle =
     Oracle.make [ Oracle.deep_equal_rule; Oracle.key_rule ~tag:"person" ~field:"nm" ]
   in
-  let name_block t = if Tree.name t = Some "person" then Tree.field t "nm" else None in
-  let run ?block ?blocker () =
-    let cfg =
-      Integrate.config ~oracle ~dtd:Addressbook.dtd ~factorize:true ?block ?blocker ()
-    in
+  let run ?blocker () =
+    let cfg = Integrate.config ~oracle ~dtd:Addressbook.dtd ~factorize:true ?blocker () in
     match Integrate.stats cfg a b with
     | Ok s -> s
     | Error e -> Alcotest.failf "stats failed: %a" Integrate.pp_error e
@@ -643,13 +640,6 @@ let test_blocking_counter_consistency () =
   check Alcotest.int "no index: every generated pair is compared"
     t0.Integrate.pairs_generated t0.Integrate.pairs_compared;
   check Alcotest.int "no blocking at all: blocked = 0" 0 t0.Integrate.pairs_blocked;
-  (* rule-level blocking evaluates the cell, then drops it *)
-  let t1 = tr (run ~block:name_block ()) in
-  check Alcotest.int "rule blocks still compare every pair"
-    t1.Integrate.pairs_generated t1.Integrate.pairs_compared;
-  check Alcotest.bool "rule-level blocks counted" true (t1.Integrate.pairs_blocked > 0);
-  check Alcotest.int "same grid either way" t0.Integrate.pairs_generated
-    t1.Integrate.pairs_generated;
   (* index-level blocking skips the cell without evaluating it *)
   let key_nm = Blocking.key ~field:"nm" () in
   let idx = run ~blocker:key_nm () in
@@ -661,22 +651,11 @@ let test_blocking_counter_consistency () =
   check Alcotest.int "every skipped pair is reported blocked"
     (t2.Integrate.pairs_generated - t2.Integrate.pairs_compared)
     t2.Integrate.pairs_blocked;
-  (* both layers: the index removes exactly the pairs the rule would have
-     dropped, so blocked = index skips and no rule-level block fires *)
-  let t3 = tr (run ~block:name_block ~blocker:key_nm ()) in
-  check Alcotest.int "rule finds nothing left to block"
-    (t3.Integrate.pairs_generated - t3.Integrate.pairs_compared)
-    t3.Integrate.pairs_blocked;
-  check Alcotest.int "same comparisons as index alone" t2.Integrate.pairs_compared
-    t3.Integrate.pairs_compared;
   (* and none of it changed the result *)
-  List.iter
-    (fun (label, s) ->
-      check (Alcotest.float 1e-6) (label ^ ": nodes unchanged") plain.Integrate.nodes
-        s.Integrate.nodes;
-      check (Alcotest.float 1e-6) (label ^ ": worlds unchanged") plain.Integrate.worlds
-        s.Integrate.worlds)
-    [ ("blocker", idx); ("block+blocker", run ~block:name_block ~blocker:key_nm ()) ]
+  check (Alcotest.float 1e-6) "blocker: nodes unchanged" plain.Integrate.nodes
+    idx.Integrate.nodes;
+  check (Alcotest.float 1e-6) "blocker: worlds unchanged" plain.Integrate.worlds
+    idx.Integrate.worlds
 
 (* ---- mid-fold failure atomicity ------------------------------------------- *)
 
@@ -757,7 +736,7 @@ let suite =
         t "infeasible forced edges" test_matching_infeasible;
         t "enumeration limit" test_matching_limit;
         t "cluster decomposition" test_clusters;
-        t "graph from verdicts" test_graph_of_verdicts;
+        t "graph from verdicts" test_graph_from_verdicts;
       ] );
     ( "integrate.fig2",
       [

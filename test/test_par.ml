@@ -22,6 +22,7 @@ module Codec = Imprecise.Codec
 module Oracle = Imprecise.Oracle
 module Decision_cache = Imprecise.Decision_cache
 module Integrate = Imprecise.Integrate
+module Blocking = Imprecise.Blocking
 module Matching = Imprecise.Matching
 module Obs = Imprecise.Obs
 module Prng = Imprecise.Data.Prng
@@ -43,8 +44,6 @@ let fail seed fmt =
 let oracle =
   Oracle.make [ Oracle.deep_equal_rule; Oracle.key_rule ~tag:"person" ~field:"nm" ]
 
-let name_block t = if Tree.name t = Some "person" then Tree.field t "nm" else None
-
 let encode doc = Codec.to_string ~indent:2 doc
 
 let same_trace seed label (a : Integrate.trace) (b : Integrate.trace) =
@@ -59,8 +58,8 @@ let same_trace seed label (a : Integrate.trace) (b : Integrate.trace) =
   field "cluster_count" a.Integrate.cluster_count b.Integrate.cluster_count
 
 let config ?decisions ~jobs () =
-  Integrate.config ~oracle ~dtd:Addressbook.dtd ~block:name_block ~factorize:true
-    ~jobs ?decisions ()
+  Integrate.config ~oracle ~dtd:Addressbook.dtd ~blocker:(Blocking.key ~field:"nm" ())
+    ~factorize:true ~jobs ?decisions ()
 
 (* One fuzz case: same pair, three jobs values, byte-identical results and
    identical tallies. Roots are forced to a common tag so integration does
@@ -117,7 +116,7 @@ let count name = Obs.Metrics.count (Obs.Metrics.counter name)
 (* Regression: a band worker failing used to be visible only if it was
    band 0 — a later band's exception escaped before the workers were
    joined (leaking domains), and when several bands failed, which failure
-   surfaced was racy. graph_of_outcomes must join every worker and
+   surfaced was racy. Matching.graph must join every worker and
    re-raise the first failure in band order, deterministically. *)
 exception Band_boom of int
 
@@ -126,12 +125,12 @@ let check_band_exception_propagation () =
      four 2-row bands. Bands 1 (rows 2-3) and 3 (rows 6-7) both raise at
      their first cell; bands 0 and 2 run to completion. *)
   let cells = Atomic.make 0 in
-  let outcome i j =
+  let verdict i j =
     Atomic.incr cells;
     if (i = 2 || i = 6) && j = 0 then raise (Band_boom (i / 2));
-    Matching.Verdict (if i = j then Oracle.Unsure 0.5 else Oracle.Different)
+    if i = j then Oracle.Unsure 0.5 else Oracle.Different
   in
-  (match Matching.graph_of_outcomes ~jobs:4 ~n_left:8 ~n_right:8 outcome with
+  (match Matching.graph ~jobs:4 ~n_left:8 ~n_right:8 verdict with
   | _ -> fail 0 "two bands raised, yet the grid reported success"
   | exception Band_boom 1 -> ()
   | exception Band_boom b -> fail 0 "band %d's failure surfaced before band 1's" b);

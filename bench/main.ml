@@ -370,24 +370,6 @@ let pquery_enumerate () =
       Printf.printf "%-4s %8.3fs  %d answers\n" label t (List.length answers))
     [ ("Q1", q1); ("Q2", q2) ]
 
-let pquery_parallel () =
-  section "Querying - parallel world enumeration (--jobs)";
-  let doc = query_document () in
-  Printf.printf "document: %s worlds, %d cores on this machine\n"
-    (human (world_count doc))
-    (Domain.recommended_domain_count ());
-  let seq, t1 =
-    time (fun () -> rank ~strategy:Pquery.Enumerate_only ~world_limit:1e7 doc q1)
-  in
-  let par, t4 =
-    time (fun () -> rank ~strategy:Pquery.Enumerate_only ~world_limit:1e7 ~jobs:4 doc q1)
-  in
-  Printf.printf "Q1 jobs=1: %.3fs   jobs=4: %.3fs   speedup %.2fx\n" t1 t4 (t1 /. t4);
-  Printf.printf "answers agree: %b\n" (Answer.equal ~tolerance:1e-9 seq par);
-  Printf.printf
-    "(the shards partition the choice space; speedup tracks the number of\n\
-     physical cores, and is ~1x on a single-core machine)\n"
-
 let pquery_cached () =
   section "Querying - the LRU answer cache (store generations invalidate)";
   let doc = query_document () in
@@ -993,7 +975,6 @@ let experiments =
     ("addressbook", addressbook);
     ("queries", queries);
     ("pquery_enumerate", pquery_enumerate);
-    ("pquery_parallel", pquery_parallel);
     ("pquery_cached", pquery_cached);
     ("pquery_degraded", pquery_degraded);
     ("analyze_prune", analyze_prune);

@@ -407,7 +407,7 @@ let rules_cmd =
 let strategy_names = [ "auto"; "direct"; "enumerate"; "sample" ]
 
 let query_cmd =
-  let run path query strategy samples seed jobs top_k timeout_ms max_worlds tele =
+  let run path query strategy samples seed top_k timeout_ms max_worlds tele =
     with_telemetry tele @@ fun () ->
     let doc = or_die (load_doc path) in
     let strategy =
@@ -421,10 +421,6 @@ let query_cmd =
             (String.concat ", " strategy_names);
           exit 1
     in
-    if jobs < 1 then begin
-      Fmt.epr "imprecise: --jobs must be at least 1@.";
-      exit 1
-    end;
     (match top_k with
     | Some k when k < 1 ->
         Fmt.epr "imprecise: --top-k must be at least 1@.";
@@ -437,7 +433,7 @@ let query_cmd =
        a clean error, not a silent strategy change. *)
     match (budget, strategy) with
     | Some _, Pquery.Auto -> (
-        match Pquery.rank_graded ?budget ~jobs ?top_k doc query with
+        match Pquery.rank_graded ?budget ?top_k doc query with
         | { Resilience.Degrade.value; grade } ->
             if not (Resilience.Degrade.is_exact grade) then
               Fmt.epr "imprecise: budget exhausted, degraded answer: %a@."
@@ -447,7 +443,7 @@ let query_cmd =
             Fmt.epr "imprecise: %s@." msg;
             exit 1)
     | _ -> (
-        match Pquery.rank ?budget ~strategy ~jobs ?top_k doc query with
+        match Pquery.rank ?budget ~strategy ?top_k doc query with
         | answers -> Fmt.pr "%a@?" Answer.pp answers
         | exception Pquery.Cannot_answer msg ->
             Fmt.epr "imprecise: cannot answer: %s@." msg;
@@ -480,14 +476,6 @@ let query_cmd =
     Arg.(value & opt int 10_000 & info [ "samples" ] ~docv:"N" ~doc:"Sample count for --strategy sample.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for --strategy sample.") in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Enumerate possible worlds on $(docv) parallel domains. The answer \
-             distribution is identical; 1 (the default) is the sequential path.")
-  in
   let top_k =
     Arg.(
       value & opt (some int) None
@@ -502,7 +490,7 @@ let query_cmd =
          "Query a (probabilistic or plain) document; answers are ranked by the \
           probability that they belong to the result.")
     Term.(
-      const run $ path $ query $ strategy $ samples $ seed $ jobs $ top_k $ timeout_arg
+      const run $ path $ query $ strategy $ samples $ seed $ top_k $ timeout_arg
       $ max_worlds_arg $ telemetry_term)
 
 (* ---- worlds -------------------------------------------------------------------- *)

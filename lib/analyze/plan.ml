@@ -9,7 +9,6 @@ type t = {
   cost : Cost.t;
   obligations : string list;
   reasons : Diag.t list;
-  shards : int;
 }
 
 let route_to_string = function Direct -> "direct" | Enumerate -> "enumerate"
@@ -24,17 +23,6 @@ let reason ?source code detail =
 
 let reasonf ?source code fmt = Format.kasprintf (reason ?source code) fmt
 
-(* Shard hint for the enumeration fallback, sized from the world bound:
-   one domain per ~50k worlds once past 100k, capped by the machine. *)
-let shards_of worlds =
-  if worlds > 100_000. then
-    let want =
-      if Float.is_finite worlds then int_of_float (Float.ceil (worlds /. 50_000.))
-      else max_int
-    in
-    max 1 (min want (Domain.recommended_domain_count ()))
-  else 1
-
 let is_strict_prefix prefix p =
   let rec go prefix p =
     match (prefix, p) with
@@ -48,7 +36,7 @@ let is_strict_prefix prefix p =
 let plan ~summary ?source ?(local_limit = Fragment.default_local_limit) expr : t =
   let cost = Cost.analyze summary expr in
   let enumerate reasons =
-    { route = Enumerate; cost; obligations = []; reasons; shards = shards_of cost.Cost.worlds }
+    { route = Enumerate; cost; obligations = []; reasons }
   in
   match Fragment.classify expr with
   | Error { Fragment.code; detail } -> enumerate [ reason ?source code detail ]
@@ -105,7 +93,6 @@ let plan ~summary ?source ?(local_limit = Fragment.default_local_limit) expr : t
                    subtree (Fragment.classify)";
                 ];
               reasons = [];
-              shards = 1;
             })
 
 let to_json t =
@@ -115,12 +102,10 @@ let to_json t =
       ("cost", Cost.to_json t.cost);
       ("obligations", Json.List (List.map (fun o -> Json.String o) t.obligations));
       ("reasons", Json.List (List.map Diag.to_json t.reasons));
-      ("shards", Json.Int t.shards);
     ]
 
 let pp ppf t =
-  Format.fprintf ppf "route=%s shards=%d %a" (route_to_string t.route) t.shards Cost.pp
-    t.cost;
+  Format.fprintf ppf "route=%s %a" (route_to_string t.route) Cost.pp t.cost;
   List.iter
     (fun (d : Diag.t) -> Format.fprintf ppf "@.  %s: %s" d.Diag.code d.Diag.message)
     t.reasons;

@@ -31,9 +31,6 @@ type t = {
       (** the proof obligations discharged when [route = Direct] *)
   reasons : Diag.t list;
       (** why not direct — [P00n] diagnostics when [route = Enumerate] *)
-  shards : int;
-      (** enumeration shard hint sized from the world bound (1 when
-          direct, or when the bound is small) *)
 }
 
 (** [plan ~summary ?source ?local_limit expr] — [source] attaches the

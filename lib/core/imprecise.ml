@@ -107,8 +107,7 @@ let summarize_store store =
 (* The store knows each document's generation; the cache key needs it.
    This is the one place that dependency is tied together — Pquery cannot
    depend on Store. *)
-let query_store ?budget ?strategy ?world_limit ?jobs ?top_k ?top_k_tolerance store name
-    query =
+let query_store ?budget ?strategy ?world_limit ?top_k store name query =
   match Store.get store name with
   | None -> Error (Fmt.str "no document %S in store" name)
   | Some stored -> (
@@ -119,8 +118,8 @@ let query_store ?budget ?strategy ?world_limit ?jobs ?top_k ?top_k_tolerance sto
       in
       let generation = Option.value ~default:0 (Store.generation store name) in
       match
-        Pquery.rank_cached ?budget ?strategy ?world_limit ?jobs ?top_k ?top_k_tolerance
-          ~collection:name ~generation doc query
+        Pquery.rank ?budget ?strategy ?world_limit ?top_k ~cache:(name, generation) doc
+          query
       with
       | answers -> Ok answers
       | exception Pquery.Cannot_answer msg -> Error msg

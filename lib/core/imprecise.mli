@@ -154,19 +154,19 @@ val integrate_many :
   Tree.t list ->
   (Pxml.doc, Integrate.error) result
 
-(** [rank doc query] is the amalgamated ranked answer (see {!Pquery}).
-    [jobs] parallelises the enumeration fallback over OCaml domains;
+(** [rank doc query] is the amalgamated ranked answer ({!Pquery.rank}).
     [top_k] keeps only the leading answers, stopping enumeration early
     when they are provably final. [static_check] (default [true]) prunes
-    statically-empty queries without evaluation (see {!Pquery.rank}). *)
+    statically-empty queries without evaluation; [cache] memoizes the
+    answer under a [(collection, generation)] key — {!query_store} sets
+    it from the store. *)
 val rank :
   ?budget:Imprecise_resilience.Budget.t ->
   ?strategy:Pquery.strategy ->
   ?static_check:bool ->
   ?world_limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
-  ?top_k_tolerance:float ->
+  ?cache:string * int ->
   Pxml.doc ->
   string ->
   Answer.t list
@@ -188,9 +188,7 @@ val query_store :
   ?budget:Imprecise_resilience.Budget.t ->
   ?strategy:Pquery.strategy ->
   ?world_limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
-  ?top_k_tolerance:float ->
   Store.t ->
   string ->
   string ->

@@ -8,9 +8,7 @@
     LRU. Hits, misses and evictions are counted in the global metrics
     registry as [pquery.cache.hit] / [.miss] / [.evict].
 
-    Not domain-safe: confine a cache (including {!global}) to one domain.
-    The parallel evaluator spawns domains {e below} the cache, so the
-    normal [rank_cached] path never shares it. *)
+    Not domain-safe: confine a cache (including {!global}) to one domain. *)
 
 type t
 
@@ -44,5 +42,5 @@ val remove : t -> string -> unit
     that determines the answer (strategy, top-k). *)
 val key : collection:string -> generation:int -> variant:string -> query:string -> string
 
-(** The process-wide query-answer cache used by [Pquery.rank_cached]. *)
+(** The process-wide query-answer cache used by [Pquery.rank ~cache]. *)
 val global : t

@@ -11,8 +11,6 @@ exception Too_many_worlds of float
 
 let c_worlds = Obs.Metrics.counter "pquery.worlds_enumerated"
 
-let c_parallel = Obs.Metrics.counter "pquery.parallel_ranks"
-
 let c_early = Obs.Metrics.counter "pquery.topk_early_stops"
 
 module SS = Set.Make (String)
@@ -65,20 +63,16 @@ let topk_settled ranked k remaining =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
-(* Sequential shard walk: one answer table, one world count. *)
-let shard_table ?budget ~shards ~shard doc expr =
-  let tbl = Hashtbl.create 64 in
-  let n = ref 0 in
-  Seq.iter
-    (fun (p, forest) ->
-      incr n;
-      add_world tbl p forest expr)
-    (Worlds.enumerate_shard ?budget ~shards ~shard doc);
-  (tbl, !n)
-
-(* jobs = 1, with optional top-k early termination. The settled check is
-   O(answers log answers); run it every 32 worlds so it stays invisible. *)
-let rank_seq ?budget ?top_k ~tolerance doc expr =
+(* One walk over the worlds, with optional top-k early termination. The
+   settled check is O(answers log answers); run it every 32 worlds so it
+   stays invisible. *)
+let rank_expr ?budget ?(limit = 200_000.) ?top_k ?(tolerance = 1e-9) doc expr =
+  (match top_k with
+  | Some k when k <= 0 -> invalid_arg "Naive.rank_expr: top_k must be positive"
+  | _ -> ());
+  Option.iter Budget.check budget;
+  let combos = Pxml.world_count doc in
+  if combos > limit then raise (Too_many_worlds combos);
   let tbl = Hashtbl.create 64 in
   let seen = ref 0. in
   let n = ref 0 in
@@ -107,61 +101,6 @@ let rank_seq ?budget ?top_k ~tolerance doc expr =
   let ranked = match early with Some r -> r | None -> answers_of_tbl tbl in
   match top_k with Some k -> take k ranked | None -> ranked
 
-(* jobs > 1: each domain owns one shard of the choice space and accumulates
-   its own table; the tables are summed afterwards. Shards partition the
-   enumeration exactly, so the merged distribution is the sequential one
-   (up to float summation order). Counters are bumped once, after the
-   join — atomic counters make per-shard bumps safe too, but one
-   batched add keeps the increment off the enumeration loop.
-
-   Every shard (including shard 0 on this domain) runs inside [guarded],
-   which captures the outcome instead of letting it escape: an escaping
-   exception mid-join would leak unjoined domains. On any failure the
-   shared budget is cancelled so sibling shards stop at their next tick
-   rather than enumerating to the end; all workers are then joined and the
-   first failure in shard order is re-raised. *)
-let rank_par ?budget ~jobs ?top_k doc expr =
-  Obs.Metrics.incr c_parallel;
-  let guarded shard () =
-    match shard_table ?budget ~shards:jobs ~shard doc expr with
-    | r -> Ok r
-    | exception e ->
-        Option.iter Budget.cancel budget;
-        Error e
-  in
-  let workers =
-    List.init (jobs - 1) (fun i -> Domain.spawn (guarded (i + 1)))
-  in
-  let first = guarded 0 () in
-  let outcomes = first :: List.map Domain.join workers in
-  let parts =
-    List.map (function Ok r -> r | Error e -> raise e) outcomes
-  in
-  Obs.Metrics.incr ~by:(List.fold_left (fun acc (_, n) -> acc + n) 0 parts) c_worlds;
-  let merged = Hashtbl.create 64 in
-  List.iter
-    (fun (tbl, _) ->
-      Hashtbl.iter
-        (fun v p ->
-          let prev = Option.value ~default:0. (Hashtbl.find_opt merged v) in
-          Hashtbl.replace merged v (prev +. p))
-        tbl)
-    parts;
-  let ranked = answers_of_tbl merged in
-  match top_k with Some k -> take k ranked | None -> ranked
-
-let rank_expr ?budget ?(limit = 200_000.) ?(jobs = 1) ?top_k ?(tolerance = 1e-9) doc expr
-    =
-  (match top_k with
-  | Some k when k <= 0 -> invalid_arg "Naive.rank_expr: top_k must be positive"
-  | _ -> ());
-  Option.iter Budget.check budget;
-  let combos = Pxml.world_count doc in
-  if combos > limit then raise (Too_many_worlds combos);
-  let jobs = max 1 (min jobs 64) in
-  if jobs = 1 then rank_seq ?budget ?top_k ~tolerance doc expr
-  else rank_par ?budget ~jobs ?top_k doc expr
-
-let rank ?budget ?limit ?jobs ?top_k ?tolerance doc query =
-  rank_expr ?budget ?limit ?jobs ?top_k ?tolerance doc
+let rank ?budget ?limit ?top_k ?tolerance doc query =
+  rank_expr ?budget ?limit ?top_k ?tolerance doc
     (Imprecise_xpath.Parser.parse_exn query)

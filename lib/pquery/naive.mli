@@ -11,40 +11,25 @@ module Ast = Imprecise_xpath.Ast
 
 exception Too_many_worlds of float
 
-(** [rank ?limit ?jobs ?top_k ?tolerance doc query] enumerates all worlds
+(** [rank ?limit ?top_k ?tolerance doc query] enumerates all worlds
     (failing with {!Too_many_worlds} if the document has more than [limit]
     choice combinations, default [200_000]), evaluates [query] in each,
     and merges the answers. Values are XPath string-values of the selected
     nodes.
 
-    [jobs] (default 1, capped at 64) spreads the enumeration over that
-    many OCaml domains: each domain walks a disjoint shard of the choice
-    space ({!Imprecise_pxml.Worlds.enumerate_shard}) into its own answer
-    table and the tables are summed after the join. The merged
-    distribution is the sequential one; only float summation order can
-    differ, so probabilities agree to ~1 ulp. [jobs = 1] takes the
-    original sequential path, bit for bit.
-
     [top_k] returns only the [k] most likely answers and stops
     enumerating once the remaining probability mass can no longer change
     their order {e and} is at most [tolerance] (default [1e-9]), so the
     reported probabilities are within [tolerance] of the full
-    enumeration's. Raises [Invalid_argument] on [top_k <= 0]. With
-    [jobs > 1] the cut happens after the parallel merge (no early stop:
-    shards cannot observe each other's accumulated mass cheaply).
+    enumeration's. Raises [Invalid_argument] on [top_k <= 0].
 
     [budget] is a cooperative cancellation token
     ({!Imprecise_resilience.Budget}): it is checked on entry and ticked
-    once per enumerated world (across all shards when [jobs > 1]), so a
-    blown deadline or world pool raises [Budget.Exceeded] promptly
-    instead of walking the space to the end. With [jobs > 1] the first
-    shard to trip cancels the budget, stopping every sibling domain at
-    its next tick; all domains are still joined before the exception
-    propagates. *)
+    once per enumerated world, so a blown deadline or world pool raises
+    [Budget.Exceeded] promptly instead of walking the space to the end. *)
 val rank :
   ?budget:Imprecise_resilience.Budget.t ->
   ?limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
   ?tolerance:float ->
   Pxml.doc ->
@@ -55,7 +40,6 @@ val rank :
 val rank_expr :
   ?budget:Imprecise_resilience.Budget.t ->
   ?limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
   ?tolerance:float ->
   Pxml.doc ->

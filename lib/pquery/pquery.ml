@@ -36,6 +36,10 @@ let h_plan = Obs.Metrics.histogram "analyze.plan"
 
 let compile = Eval.compile_exn
 
+let check_top_k = function
+  | Some k when k <= 0 -> raise (Cannot_answer "top_k must be positive")
+  | _ -> ()
+
 let truncate top_k answers =
   match top_k with Some k -> List.filteri (fun i _ -> i < k) answers | None -> answers
 
@@ -60,13 +64,14 @@ let plan_of ~summary ?source expr =
   Obs.Metrics.observe h_plan ((Obs.Clock.now () -. t0) *. 1000.);
   p
 
-let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
-    ?(jobs = 1) ?top_k ?top_k_tolerance doc query =
+(* The one evaluation body behind [rank], [rank_graded] and [explain].
+   [top_k_tolerance] stays private: only the ladder's top-k rung loosens it
+   (to 1e-2); every public call gets Naive's 1e-9. *)
+let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit ?top_k
+    ?top_k_tolerance doc query =
   Obs.Metrics.incr c_ranks;
   Obs.Trace.op "pquery.rank" ~detail:(Eval.compiled_source query) @@ fun () ->
-  (match top_k with
-  | Some k when k <= 0 -> raise (Cannot_answer "top_k must be positive")
-  | _ -> ());
+  check_top_k top_k;
   Option.iter Budget.check budget;
   let expr = Eval.compiled_ast query in
   (* One summary serves both static passes; skipped entirely when neither
@@ -87,7 +92,7 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
     []
   end
   else
-  let enumerate ~jobs () =
+  let enumerate () =
     Obs.Metrics.incr c_enumerate;
     Obs.Trace.note "path" (Obs.Json.String "enumerate");
     Obs.Trace.with_span "enumerate" @@ fun () ->
@@ -97,8 +102,8 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
     let w0 = Obs.Metrics.count c_worlds_enumerated in
     let answers =
       try
-        Naive.rank_expr ?budget ?limit:world_limit ~jobs ?top_k
-          ?tolerance:top_k_tolerance doc expr
+        Naive.rank_expr ?budget ?limit:world_limit ?top_k ?tolerance:top_k_tolerance doc
+          expr
       with Naive.Too_many_worlds n ->
         raise (Cannot_answer (Fmt.str "document has %g possible worlds; too many to enumerate" n))
     in
@@ -114,7 +119,7 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
   in
   let answers =
     match strategy with
-    | Enumerate_only -> enumerate ~jobs ()
+    | Enumerate_only -> enumerate ()
     | Direct_only -> (
         try direct ()
         with Direct.Unsupported msg ->
@@ -144,16 +149,11 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
                  share one fragment definition — but never let a planner
                  defect lose an answer *)
               Obs.Metrics.incr c_unsupported;
-              enumerate ~jobs ())
+              enumerate ())
         | Imprecise_analyze.Plan.Enumerate ->
             if plan.Imprecise_analyze.Plan.reasons <> [] then
               Obs.Metrics.incr c_unsupported;
-            (* pre-size enumeration shards from the cost bound, unless the
-               caller pinned a parallelism degree *)
-            let jobs =
-              if jobs = 1 then max 1 plan.Imprecise_analyze.Plan.shards else jobs
-            in
-            enumerate ~jobs ())
+            enumerate ())
     | Sample { n; seed } ->
         if n <= 0 then raise (Cannot_answer "sample size must be positive");
         Obs.Metrics.incr c_sample;
@@ -180,11 +180,6 @@ let rank_compiled ?budget ?(strategy = Auto) ?(static_check = true) ?world_limit
   Obs.Trace.note "answers" (Obs.Json.Int (List.length answers));
   answers
 
-let rank ?budget ?strategy ?static_check ?world_limit ?jobs ?top_k ?top_k_tolerance doc
-    query =
-  rank_compiled ?budget ?strategy ?static_check ?world_limit ?jobs ?top_k
-    ?top_k_tolerance doc (compile query)
-
 (* ---- graceful degradation ------------------------------------------------ *)
 
 (* Exceptions that mean "the exact computation was too expensive" — the
@@ -205,12 +200,15 @@ let sample_confidence = 0.999
 let sample_tolerance =
   sqrt (log (2. /. (1. -. sample_confidence)) /. (2. *. float_of_int sample_n))
 
-let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
+let rank_graded ?budget ?world_limit ?top_k doc query =
   (* The graded op is the audit trail for a degraded answer: the ladder's
      fallbacks land here as "degraded_from" notes (each failed rung closed
      its own pquery.rank op before the fallback fired), and the final
      grade is noted below. *)
   Obs.Trace.op "pquery.rank_graded" ~detail:query @@ fun () ->
+  (* an invalid argument is not a budget trip: refuse it before any rung
+     runs, so it never descends the ladder *)
+  check_top_k top_k;
   let compiled = compile query in
   (* Sub-budgets are carved eagerly: the exact rung gets 60% of whatever
      deadline/pool the caller granted, the top-k rung 80% — tripping a
@@ -226,7 +224,7 @@ let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
         run =
           (fun () ->
             Degrade.exact
-              (rank_compiled ?budget:(sub 0.6) ?world_limit ?jobs ?top_k doc compiled));
+              (rank_compiled ?budget:(sub 0.6) ?world_limit ?top_k doc compiled));
       };
       {
         Degrade.name = "top_k";
@@ -235,7 +233,7 @@ let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
             let k = Option.value ~default:10 top_k in
             Degrade.approximate ~rung:"top_k" ~tolerance:1e-2 ~confidence:1.
               (rank_compiled ?budget:(sub 0.8) ~strategy:Enumerate_only
-                 ~world_limit:5e6 ?jobs ~top_k:k ~top_k_tolerance:1e-2 doc compiled));
+                 ~world_limit:5e6 ~top_k:k ~top_k_tolerance:1e-2 doc compiled));
       };
       {
         Degrade.name = "sample";
@@ -261,11 +259,11 @@ let rank_graded ?budget ?world_limit ?jobs ?top_k doc query =
 (* ---- the LRU answer cache ----------------------------------------------- *)
 
 (* Everything besides the document state and the query text that can change
-   the answer must land in the cache key. [jobs] is deliberately left out
-   (it only permutes float summation order, never the distribution), as is
-   [world_limit] (it bounds effort, not the value — a hit just means the
-   effort was already spent). *)
-let variant_of ~strategy ~top_k ~top_k_tolerance =
+   the answer must land in the cache key: the strategy and the top-k cut
+   (public calls all share one top-k tolerance). [world_limit] and
+   [static_check] are left out — they bound or skip effort, never change
+   the value, so a hit just means the effort was already spent. *)
+let variant_of ~strategy ~top_k =
   let s =
     match strategy with
     | Auto -> "auto"
@@ -273,31 +271,29 @@ let variant_of ~strategy ~top_k ~top_k_tolerance =
     | Enumerate_only -> "enumerate"
     | Sample { n; seed } -> Printf.sprintf "sample:%d:%d" n seed
   in
-  match top_k with
-  | None -> s
-  | Some k ->
-      Printf.sprintf "%s:top%d:%g" s k (Option.value ~default:1e-9 top_k_tolerance)
+  match top_k with None -> s | Some k -> Printf.sprintf "%s:top%d" s k
 
-let rank_cached ?budget ?(strategy = Auto) ?world_limit ?jobs ?top_k ?top_k_tolerance
-    ~collection ~generation doc query =
-  let key =
-    Cache.key ~collection ~generation
-      ~variant:(variant_of ~strategy ~top_k ~top_k_tolerance)
-      ~query
+let rank ?budget ?(strategy = Auto) ?static_check ?world_limit ?top_k ?cache doc query =
+  let run () =
+    rank_compiled ?budget ~strategy ?static_check ?world_limit ?top_k doc (compile query)
   in
-  match Cache.find Cache.global key with
-  | Some answers -> answers
-  | None ->
-      (* [Cache.add] runs only after [rank] returns normally: a rank that
-         raises — budget trip, Too_many_worlds, anything — leaves the
-         cache untouched, so a cancelled query can never poison later
-         lookups with a partial result. (Regression-tested in
-         test_pquery.ml.) *)
-      let answers =
-        rank ?budget ~strategy ?world_limit ?jobs ?top_k ?top_k_tolerance doc query
+  match cache with
+  | None -> run ()
+  | Some (collection, generation) -> (
+      let key =
+        Cache.key ~collection ~generation ~variant:(variant_of ~strategy ~top_k) ~query
       in
-      Cache.add Cache.global key answers;
-      answers
+      match Cache.find Cache.global key with
+      | Some answers -> answers
+      | None ->
+          (* [Cache.add] runs only after [run] returns normally: a rank that
+             raises — budget trip, Too_many_worlds, anything — leaves the
+             cache untouched, so a cancelled query can never poison later
+             lookups with a partial result. (Regression-tested in
+             test_pquery.ml.) *)
+          let answers = run () in
+          Cache.add Cache.global key answers;
+          answers)
 
 let plan doc query =
   let expr = Imprecise_xpath.Parser.parse_exn query in

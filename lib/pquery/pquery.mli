@@ -6,12 +6,12 @@
     {!Direct} evaluator whenever the query is in its class and falls back
     to possible-world enumeration ({!Naive}) otherwise.
 
-    The enumeration path scales two ways: [jobs] spreads the possible
-    worlds over that many OCaml domains, and [top_k] stops enumerating
-    early once the leading answers are provably final (see {!Naive.rank}
-    for the exact contracts). [rank_cached] adds a process-wide LRU
-    answer cache keyed by the owning collection's document generation, so
-    repeated queries against an unchanged store are O(1). *)
+    On the enumeration path [top_k] stops enumerating early once the
+    leading answers are provably final (see {!Naive.rank} for the exact
+    contract). [rank ~cache] adds a process-wide LRU answer cache keyed by
+    the owning collection's document generation, so repeated queries
+    against an unchanged store are O(1). {!rank_graded} is the only other
+    ranking entry point: it never fails on a budget and grades its answer. *)
 
 module Pxml = Imprecise_pxml.Pxml
 module Eval = Imprecise_xpath.Eval
@@ -33,18 +33,16 @@ exception Cannot_answer of string
     enumeration over too many worlds, or [Direct_only] on an unsupported
     query). *)
 
-(** [compile query] parses [query] once into a reusable handle; raises
-    like {!Imprecise_xpath.Parser.parse_exn} on syntax errors. Use with
-    {!rank_compiled} to amortise parsing across documents. *)
+(** [compile query] parses [query] into a handle, as {!rank} does on every
+    call; raises like {!Imprecise_xpath.Parser.parse_exn} on syntax
+    errors. Exposed so callers can time or validate parsing on its own. *)
 val compile : string -> Eval.compiled
 
-(** [rank ?strategy ?world_limit ?jobs ?top_k ?top_k_tolerance doc query]
-    — [world_limit] guards the enumeration fallback (default 200_000
-    choice combinations). [jobs] (default 1) parallelises enumeration;
-    [jobs = 1] is bit-identical to the original sequential evaluation.
-    [top_k] keeps only the [k] most likely answers, terminating the
-    enumeration early when their order can no longer change and the
-    unprocessed mass is at most [top_k_tolerance] (default [1e-9]); under
+(** [rank ?budget ?strategy ?static_check ?world_limit ?top_k ?cache doc
+    query] — [world_limit] guards the enumeration fallback (default
+    200_000 choice combinations). [top_k] keeps only the [k] most likely
+    answers, terminating the enumeration early when their order can no
+    longer change and the unprocessed mass is at most [1e-9]; under
     [Direct_only]/[Auto]-direct/[Sample] it merely truncates the ranked
     list, which is exact there. Raises {!Cannot_answer} on [top_k <= 0].
 
@@ -56,6 +54,17 @@ val compile : string -> Eval.compiled
     to force full evaluation — the differential fuzz harness does, to
     check the prune against ground truth rather than against itself.
 
+    [cache = (collection, generation)] memoizes the answer in the
+    process-wide {!Cache.global}, keyed by the query text and the variant
+    (strategy plus [top_k]). [collection] names the document (typically
+    its store name) and [generation] is its store generation
+    ({!Imprecise_store.Store.generation}): entries for superseded document
+    states never match again and age out of the LRU. The caller must pass
+    the [doc] that [(collection, generation)] actually refers to —
+    {!Imprecise.query_store} does this bookkeeping for you. Exceptions are
+    not cached: in particular a budget trip mid-computation leaves the
+    cache exactly as it was, so cancelled queries cannot poison it.
+
     [budget] ({!Imprecise_resilience.Budget}) is checked on entry, ticked
     per enumerated world on the enumeration path and per drawn world on
     the sampling path; a trip raises [Budget.Exceeded]. Use
@@ -66,27 +75,13 @@ val rank :
   ?strategy:strategy ->
   ?static_check:bool ->
   ?world_limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
-  ?top_k_tolerance:float ->
+  ?cache:string * int ->
   Pxml.doc ->
   string ->
   Answer.t list
 
-(** [rank_compiled] is {!rank} on a pre-compiled query handle. *)
-val rank_compiled :
-  ?budget:Imprecise_resilience.Budget.t ->
-  ?strategy:strategy ->
-  ?static_check:bool ->
-  ?world_limit:float ->
-  ?jobs:int ->
-  ?top_k:int ->
-  ?top_k_tolerance:float ->
-  Pxml.doc ->
-  Eval.compiled ->
-  Answer.t list
-
-(** [rank_graded ?budget ?world_limit ?jobs ?top_k doc query] is the
+(** [rank_graded ?budget ?world_limit ?top_k doc query] is the
     "good is good enough" entry point: a degradation ladder
     ({!Imprecise_resilience.Degrade}) that always returns an answer,
     tagged with how approximate it is.
@@ -101,6 +96,7 @@ val rank_compiled :
       budget, so it always returns; grade [Approximate] with the
       Hoeffding tolerance [≈0.031] at confidence [0.999].
 
+    [top_k <= 0] raises {!Cannot_answer} on entry, before any rung runs.
     Only budget trips, {!Naive.Too_many_worlds} and {!Cannot_answer}
     fall through the ladder (counter [pquery.degraded], and
     [resilience.degradations] per step); other exceptions — and any
@@ -110,41 +106,17 @@ val rank_compiled :
 val rank_graded :
   ?budget:Imprecise_resilience.Budget.t ->
   ?world_limit:float ->
-  ?jobs:int ->
   ?top_k:int ->
   Pxml.doc ->
   string ->
   Answer.t list Imprecise_resilience.Degrade.graded
 
-(** [rank_cached ~collection ~generation doc query] is {!rank} memoized in
-    the process-wide {!Cache.global}. [collection] names the document
-    (typically its store name) and [generation] is its store generation
-    ({!Imprecise_store.Store.generation}): entries for superseded document
-    states never match again and age out of the LRU. The caller must pass
-    the [doc] that [(collection, generation)] actually refers to —
-    {!Imprecise.query_store} does this bookkeeping for you. Exceptions are
-    not cached: in particular a budget trip mid-computation leaves the
-    cache exactly as it was, so cancelled queries cannot poison it. *)
-val rank_cached :
-  ?budget:Imprecise_resilience.Budget.t ->
-  ?strategy:strategy ->
-  ?world_limit:float ->
-  ?jobs:int ->
-  ?top_k:int ->
-  ?top_k_tolerance:float ->
-  collection:string ->
-  generation:int ->
-  Pxml.doc ->
-  string ->
-  Answer.t list
-
 (** [plan doc query] is the static plan {!rank} with [Auto] consults: the
-    route, cost/cardinality bounds, discharged proof obligations or
-    [P00n] fallback reasons, and the enumeration shard hint (see
-    {!Imprecise_analyze.Plan}). Exposed for [imprecise check --plan] and
-    the certification harnesses; [rank] computes it internally (span
-    [analyze.plan], histogram [analyze.plan] in ms, event [pquery.plan],
-    op note ["plan"]). *)
+    route, cost/cardinality bounds, and discharged proof obligations or
+    [P00n] fallback reasons (see {!Imprecise_analyze.Plan}). Exposed for
+    [imprecise check --plan] and the certification harnesses; [rank]
+    computes it internally (span [analyze.plan], histogram [analyze.plan]
+    in ms, event [pquery.plan], op note ["plan"]). *)
 val plan : Pxml.doc -> string -> Imprecise_analyze.Plan.t
 
 (** [used_strategy doc query] reports which evaluator {!rank} with [Auto]

@@ -55,105 +55,6 @@ let guard budget seq =
 
 let enumerate ?budget d = guard budget (enumerate d)
 
-(* ---- sharding, for parallel enumeration ----------------------------------
-
-   A shard is a rewritten document whose enumeration is a disjoint subset
-   of the original's, with the [shards] subsets united being exactly
-   [enumerate d]. The rewrite deals one {e unconditional dimension} of the
-   choice space out round-robin: the top-level dist itself when it has at
-   least [shards] live choices, else — descending through forced
-   (single-live-choice) dists, whose content dists are independent product
-   dimensions — the first nested dist that does. A multi-choice dist that
-   is itself too small to deal out can still carry the shard if {e every}
-   one of its live choices can be sharded inside, since the union of
-   per-choice partitions partitions the whole. The search path depends
-   only on the structure, never on [shard], so all shards restrict the
-   same dimension.
-
-   When no dimension is wide enough (a near-certain document), the shard
-   falls back to taking every [shards]-th world of the full enumeration:
-   the structural walk is then repeated per shard, but the expensive
-   per-world work downstream (query evaluation) still splits evenly. *)
-
-let deal ~shards ~shard choices =
-  List.filteri (fun i _ -> i mod shards = shard) choices
-
-let rec shard_dist ~shards ~shard (d : Pxml.dist) : Pxml.dist option =
-  let live = live_choices d in
-  if List.length live >= shards then
-    Some { Pxml.choices = deal ~shards ~shard live }
-  else
-    let inside (c : Pxml.choice) =
-      Option.map
-        (fun nodes -> { c with Pxml.nodes })
-        (shard_nodes ~shards ~shard c.Pxml.nodes)
-    in
-    match live with
-    | [ c ] -> Option.map (fun c -> { Pxml.choices = [ c ] }) (inside c)
-    | live ->
-        (* whether a choice is shardable inside is structural — identical
-           for every shard — so this classification is consistent: each
-           shard keeps all shardable choices (with its own interior slice)
-           while the unshardable ones are dealt out whole, one shard each *)
-        let sharded = List.map (fun c -> (c, inside c)) live in
-        if List.exists (fun (_, o) -> Option.is_some o) sharded then begin
-          let dealt = ref 0 in
-          let choices =
-            List.filter_map
-              (fun (c, o) ->
-                match o with
-                | Some c -> Some c
-                | None ->
-                    let mine = !dealt mod shards = shard in
-                    incr dealt;
-                    if mine then Some c else None)
-              sharded
-          in
-          Some { Pxml.choices = choices }
-        end
-        else None
-
-and shard_nodes ~shards ~shard nodes =
-  let rec go acc = function
-    | [] -> None
-    | (Pxml.Text _ as n) :: rest -> go (n :: acc) rest
-    | (Pxml.Elem (tag, attrs, content) as n) :: rest -> (
-        match shard_content ~shards ~shard content with
-        | Some content ->
-            Some (List.rev_append acc (Pxml.Elem (tag, attrs, content) :: rest))
-        | None -> go (n :: acc) rest)
-  in
-  go [] nodes
-
-and shard_content ~shards ~shard dists =
-  let rec go acc = function
-    | [] -> None
-    | d :: rest -> (
-        match shard_dist ~shards ~shard d with
-        | Some d -> Some (List.rev_append acc (d :: rest))
-        | None -> go (d :: acc) rest)
-  in
-  go [] dists
-
-let enumerate_shard ?budget ~shards ~shard (d : Pxml.dist) : world Seq.t =
-  if shards <= 1 then enumerate ?budget d
-  else begin
-    if shard < 0 || shard >= shards then
-      invalid_arg (Printf.sprintf "Worlds.enumerate_shard: shard %d of %d" shard shards);
-    match shard_dist ~shards ~shard d with
-    | Some d -> enumerate ?budget d
-    | None ->
-        (* guard outside the stride: each shard ticks only the worlds it
-           owns, so across shards the shared budget is consumed exactly
-           once per world, same as the structurally-sharded path *)
-        guard budget
-          (Seq.filter_map
-             (fun (i, w) -> if i mod shards = shard then Some w else None)
-             (Seq.mapi (fun i w -> (i, w)) (enumerate d)))
-  end
-
-
-
 module Key = struct
   type t = Xml.Tree.t list
 

@@ -30,28 +30,6 @@ val enumerate : ?budget:Imprecise_resilience.Budget.t -> Pxml.doc -> world Seq.t
 (** [enumerate_node n] enumerates worlds of a single probabilistic node. *)
 val enumerate_node : Pxml.node -> (float * Imprecise_xml.Tree.t) Seq.t
 
-(** [enumerate_shard ~shards ~shard d] is the sub-sequence of
-    {!enumerate}[ d] owned by [shard] (0-based) out of [shards] equal-ish
-    parts: the shards are pairwise disjoint and their union is exactly the
-    full enumeration, so per-shard answer tables can simply be summed.
-    With [shards <= 1] this is {!enumerate}.
-
-    The split deals one unconditional dimension of the choice space out
-    round-robin — the top-level probability node, or, descending through
-    forced choices, a nested one wide enough — so shards do not duplicate
-    each other's structural work. Only when no such dimension exists
-    (near-certain documents) does a shard fall back to index-striding the
-    full enumeration, which repeats the walk per shard but still splits
-    the per-world evaluation cost evenly. Used by the parallel query
-    evaluator — each OCaml domain walks one shard.
-
-    [?budget] is ticked once per world the shard {e owns}; sharing one
-    budget across all shards therefore consumes it exactly once per world
-    overall, and tripping it cancels every sibling shard at its next
-    tick. *)
-val enumerate_shard :
-  ?budget:Imprecise_resilience.Budget.t -> shards:int -> shard:int -> Pxml.doc -> world Seq.t
-
 (** [merged d] enumerates all worlds, merges those whose canonical XML is
     equal (summing probabilities), and returns them sorted by decreasing
     probability. [?budget] as in {!enumerate}. *)

@@ -361,7 +361,6 @@ let check_cost name (p : Plan.t) ~worlds ~answers_lo ~answers_hi ~pw_lo ~pw_hi =
 let test_plan_fig2 () =
   let p = plan_q "//person/tel" in
   check Alcotest.bool "route direct" true (p.Plan.route = Plan.Direct);
-  check Alcotest.int "shards" 1 p.Plan.shards;
   check Alcotest.int "no fallback reasons" 0 (List.length p.Plan.reasons);
   check Alcotest.bool "obligations discharged" true (p.Plan.obligations <> []);
   (* 3 worlds; 4 tel instances across the representation; every world has

@@ -400,18 +400,6 @@ let scenario_query_cancelled_before_start () =
   | exception Budget.Exceeded r ->
       Alcotest.failf "wrong trip reason: %s" (Budget.reason_to_string r)
 
-let scenario_query_parallel_budget_trip_is_clean () =
-  (* Worker domains sharing one budget: the trip must propagate as one
-     clean exception, with every domain joined (run it repeatedly — a
-     leaked domain would wedge or crash a later iteration). *)
-  let doc = wide_doc 12 in
-  for _ = 1 to 3 do
-    let budget = Budget.create ~max_worlds:100 () in
-    match Pquery.rank ~budget ~strategy:Pquery.Enumerate_only ~jobs:4 doc wide_query with
-    | _ -> Alcotest.fail "100 worlds cannot cover 2^12"
-    | exception Budget.Exceeded _ -> ()
-  done
-
 let scenario_query_sampling_respects_budget () =
   let doc = wide_doc 6 in
   let budget = Budget.create ~max_worlds:50 () in
@@ -444,6 +432,19 @@ let scenario_graded_exact_when_budget_suffices () =
   let exact = Pquery.rank doc wide_query in
   check Alcotest.bool "answer is the exact ranking" true
     (Answer.equal ~tolerance:1e-12 exact graded.Degrade.value)
+
+let scenario_graded_refuses_bad_top_k () =
+  (* an invalid argument is not a budget trip: top_k = 0 is refused on
+     entry, before any rung of the ladder runs *)
+  let doc = wide_doc 5 in
+  let budget = Budget.create ~max_worlds:1_000_000 () in
+  let degraded0 = count "pquery.degraded" in
+  let steps0 = count "resilience.degradations" in
+  (match Pquery.rank_graded ~budget ~top_k:0 doc wide_query with
+  | _ -> Alcotest.fail "top_k = 0 must be refused"
+  | exception Pquery.Cannot_answer _ -> ());
+  check Alcotest.int "top_k = 0 took no ladder step" steps0 (count "resilience.degradations");
+  check Alcotest.int "top_k = 0 counted no degradation" degraded0 (count "pquery.degraded")
 
 let scenario_graded_degrades_under_world_budget () =
   let doc = wide_doc 10 in
@@ -523,8 +524,8 @@ let scenario_cancelled_query_never_caches () =
   let len0 = Cache.length Cache.global in
   let budget = Budget.create ~max_worlds:50 () in
   (match
-     Pquery.rank_cached ~budget ~strategy:Pquery.Enumerate_only ~collection:"chaos-poison"
-       ~generation:1 doc wide_query
+     Pquery.rank ~budget ~strategy:Pquery.Enumerate_only ~cache:("chaos-poison", 1) doc
+       wide_query
    with
   | _ -> Alcotest.fail "the budget must trip"
   | exception Budget.Exceeded _ -> ());
@@ -533,8 +534,7 @@ let scenario_cancelled_query_never_caches () =
      not anything left over from the cancelled run *)
   let hits0 = count "pquery.cache.hit" in
   let answers =
-    Pquery.rank_cached ~strategy:Pquery.Enumerate_only ~collection:"chaos-poison"
-      ~generation:1 doc wide_query
+    Pquery.rank ~strategy:Pquery.Enumerate_only ~cache:("chaos-poison", 1) doc wide_query
   in
   check Alcotest.int "recomputation was not served from cache" hits0 (count "pquery.cache.hit");
   let exact = Pquery.rank ~strategy:Pquery.Enumerate_only doc wide_query in
@@ -743,9 +743,9 @@ let scenarios =
     ("query: world budget trips enumeration", scenario_query_world_budget_trips);
     ("query: deadline trips enumeration", scenario_query_deadline_trips);
     ("query: cancellation stops the query on entry", scenario_query_cancelled_before_start);
-    ("query: parallel budget trip joins all domains", scenario_query_parallel_budget_trip_is_clean);
     ("query: sampling path respects the budget", scenario_query_sampling_respects_budget);
     ("degrade: exact when the budget suffices", scenario_graded_exact_when_budget_suffices);
+    ("degrade: invalid top_k is refused before the ladder", scenario_graded_refuses_bad_top_k);
     ("degrade: sound approximate answer when starved", scenario_graded_degrades_under_world_budget);
     ("degrade: answers even under cancellation", scenario_graded_answers_under_cancellation);
     ("degrade: fuzzed soundness on random documents", scenario_graded_soundness_fuzz);

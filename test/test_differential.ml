@@ -1,9 +1,8 @@
 (* Differential fuzz harness: every evaluation strategy must tell the same
    story. Random probabilistic documents (seeded, reproducible) are queried
    with a pool of query shapes, and the answers of the direct evaluator,
-   the parallel enumerator, the top-k early-terminating enumerator and the
-   answer cache are all compared against sequential world enumeration — the
-   reference semantics. The Monte-Carlo sampler is checked for statistical
+   the top-k early-terminating enumerator and the answer cache are all
+   compared against full world enumeration — the reference semantics. The Monte-Carlo sampler is checked for statistical
    convergence separately. Any disagreement prints the reproducing seed and
    query and fails the run.
 
@@ -167,15 +166,6 @@ let check_case i =
     if plan.Plan.cost.Cost.worlds +. 1e-9 < float_of_int observed_worlds then
       fail seed query "cost bound violated: predicted <= %g worlds, enumeration observed %d"
         plan.Plan.cost.Cost.worlds observed_worlds;
-    (* parallel enumeration: 2 domains always, 4 on a subsample *)
-    let jobs_list = if i mod 7 = 0 then [ 2; 4 ] else [ 2 ] in
-    List.iter
-      (fun jobs ->
-        let par = Pquery.rank ~strategy:Pquery.Enumerate_only ~jobs doc query in
-        if not (agree par reference) then
-          fail seed query "jobs=%d disagrees:@.%s@.vs jobs=1:@.%s" jobs (pp_answers par)
-            (pp_answers reference))
-      jobs_list;
     (* top-k: the head of the reference ranking, probabilities intact *)
     List.iter
       (fun k ->
@@ -189,16 +179,14 @@ let check_case i =
     let hits = Obs.Metrics.counter "pquery.cache.hit" in
     let collection = Printf.sprintf "fuzz%d" i in
     let cached1 =
-      Pquery.rank_cached ~strategy:Pquery.Enumerate_only ~collection ~generation:i doc
-        query
+      Pquery.rank ~strategy:Pquery.Enumerate_only ~cache:(collection, i) doc query
     in
     let hits_before = Obs.Metrics.count hits in
     let cached2 =
-      Pquery.rank_cached ~strategy:Pquery.Enumerate_only ~collection ~generation:i doc
-        query
+      Pquery.rank ~strategy:Pquery.Enumerate_only ~cache:(collection, i) doc query
     in
     if Obs.Metrics.count hits <> hits_before + 1 then
-      fail seed query "second rank_cached call was not a cache hit";
+      fail seed query "second cached rank call was not a cache hit";
     if not (agree cached1 reference && agree cached2 reference) then
       fail seed query "cached answers disagree:@.%s@.vs:@.%s" (pp_answers cached2)
         (pp_answers reference);

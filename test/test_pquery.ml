@@ -240,12 +240,7 @@ let prop_single_valued_mass_bounded =
         in
         mass <= 1. +. 1e-9)
 
-(* ---- the parallel and top-k enumeration paths --------------------------------- *)
-
-let prop_parallel_equals_sequential =
-  QCheck.Test.make ~name:"jobs=2 enumeration = sequential" ~count:60 random_doc_gen
-    (fun (doc, q) ->
-      answers_agree (Naive.rank ~jobs:2 doc q) (Naive.rank doc q))
+(* ---- the top-k enumeration path ------------------------------------------------ *)
 
 let prop_topk_is_reference_head =
   QCheck.Test.make ~name:"top_k = head of full ranking" ~count:60 random_doc_gen
@@ -257,6 +252,40 @@ let prop_topk_is_reference_head =
             (Naive.rank ~top_k:k doc q)
             (List.filteri (fun i _ -> i < k) full))
         [ 1; 2; 5 ])
+
+(* Top-k must stop early whatever the planner's world bound, so this
+   document sits past 100k worlds: 17 independent dists give 2^17. The
+   first twelve are near-certain, so the first 32 worlds carry all but
+   ~1e-11 of the mass and top-1 is settled at the first check. *)
+let test_topk_stops_early_on_a_large_doc () =
+  let module Metrics = Imprecise.Obs.Metrics in
+  let doc =
+    Pxml.certain
+      [
+        Pxml.elem "r"
+          (List.init 17 (fun i ->
+               let p = if i < 12 then 1. -. 1e-12 else 0.9 in
+               Pxml.dist
+                 [
+                   Pxml.choice ~prob:p
+                     [ Pxml.Elem ("v", [], [ Pxml.certain [ Pxml.Text (string_of_int i) ] ]) ];
+                   Pxml.choice ~prob:(1. -. p) [];
+                 ]))
+      ]
+  in
+  check (Alcotest.float 0.) "2^17 worlds" 131_072. (Pxml.world_count doc);
+  let worlds = Metrics.counter "pquery.worlds_enumerated" in
+  let early = Metrics.counter "pquery.topk_early_stops" in
+  let worlds0 = Metrics.count worlds and early0 = Metrics.count early in
+  let answers = Pquery.rank ~top_k:1 doc "count(//r/v)" in
+  check Alcotest.int "one early stop" (early0 + 1) (Metrics.count early);
+  let walked = Metrics.count worlds - worlds0 in
+  check Alcotest.bool (Printf.sprintf "walked %d < 1000 worlds" walked) true (walked < 1000);
+  match answers with
+  | [ a ] ->
+      check Alcotest.string "top value" "17" a.Answer.value;
+      check (Alcotest.float 1e-9) "top probability" (0.9 ** 5.) a.Answer.prob
+  | _ -> Alcotest.fail "top_k = 1 must return one answer"
 
 let test_cache_hit_and_invalidation () =
   let store = Imprecise.Store.create () in
@@ -485,7 +514,7 @@ let test_rank_on_certain_equals_plain_query () =
       List.iter (fun (a : Answer.t) -> check (Alcotest.float 1e-9) a.value 1. a.prob) ranked)
     [ "//movie/title"; {|//movie[genre="Horror"]/title|}; "//movie/genre" ]
 
-(* Regression: a rank_cached call whose budget trips mid-enumeration must
+(* Regression: a cached rank call whose budget trips mid-enumeration must
    not populate the cache with whatever it had accumulated — the next call
    would serve a truncated ranking as if it were the document's answer.
    Exceptions must leave the cache exactly as it was. *)
@@ -510,8 +539,8 @@ let test_cancelled_query_cannot_poison_cache () =
   let len0 = Cache.length Cache.global in
   let budget = Budget.create ~max_worlds:40 () in
   (match
-     Pquery.rank_cached ~budget ~strategy:Pquery.Enumerate_only ~collection:"poison-test"
-       ~generation:1 doc query
+     Pquery.rank ~budget ~strategy:Pquery.Enumerate_only ~cache:("poison-test", 1) doc
+       query
    with
   | _ -> Alcotest.fail "40 worlds cannot enumerate 2^12"
   | exception Budget.Exceeded _ -> ());
@@ -522,8 +551,7 @@ let test_cancelled_query_cannot_poison_cache () =
   let hits = Imprecise.Obs.Metrics.counter "pquery.cache.hit" in
   let hits0 = Imprecise.Obs.Metrics.count hits in
   let answers =
-    Pquery.rank_cached ~strategy:Pquery.Enumerate_only ~collection:"poison-test"
-      ~generation:1 doc query
+    Pquery.rank ~strategy:Pquery.Enumerate_only ~cache:("poison-test", 1) doc query
   in
   check Alcotest.int "recomputed, not served from cache" hits0
     (Imprecise.Obs.Metrics.count hits);
@@ -561,8 +589,8 @@ let suite =
       ] );
     ( "pquery.scale",
       [
-        q prop_parallel_equals_sequential;
         q prop_topk_is_reference_head;
+        t "top_k stops early past 100k worlds" test_topk_stops_early_on_a_large_doc;
         t "cache hits and generation invalidation" test_cache_hit_and_invalidation;
         t "LRU eviction order" test_lru_eviction;
         t "composite key is injective" test_key_injective;

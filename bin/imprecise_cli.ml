@@ -339,8 +339,10 @@ let integrate_cmd =
     (Cmd.info "integrate"
        ~doc:
          "Probabilistically integrate two or more XML documents. The first two are \
-          integrated directly; each further document is folded in incrementally, \
-          reusing one Oracle decision cache across the whole batch.")
+          integrated directly; each further document is folded into the probabilistic \
+          result structurally, enumerating only the choice points it touches (no limit \
+          on the prior world count), reusing one Oracle decision cache across the \
+          whole batch.")
     Term.(
       const run $ inputs $ rules_arg $ dtd_arg $ infer_dtd_arg $ factorize $ jobs
       $ blocker_term $ timeout_arg $ max_worlds_arg $ output_arg $ telemetry_term)

@@ -68,11 +68,10 @@ let integration_stats ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?bl
 (* Fold a whole list of sources into one probabilistic document: ordinary
    integration for the first two, incremental integration for the rest.
    One decision cache serves the whole fold, so a subtree pair decided
-   while integrating source k is free when source k+1 (or a later world of
-   the same incremental step) meets it again. The cache is created fresh
+   while integrating source k is free when source k+1 meets it again. The cache is created fresh
    here — it must not outlive the rule set it memoizes. *)
 let integrate_many ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?blocker
-    ?world_limit ?jobs ?decisions ?budget sources =
+    ?jobs ?decisions ?budget sources =
   match sources with
   | [] -> Error Integrate.No_sources
   | [ only ] -> Ok (Pxml.doc_of_tree only)
@@ -87,7 +86,7 @@ let integrate_many ?(rules = Rulesets.full) ?(dtd = Dtd.empty) ?factorize ?block
           List.fold_left
             (fun acc source ->
               Result.bind acc (fun doc ->
-                  Integrate.integrate_incremental cfg ?world_limit doc source))
+                  Integrate.integrate_incremental cfg doc source))
             (Ok doc) rest)
 
 let rank = Pquery.rank

@@ -122,7 +122,7 @@ val integration_stats :
   Tree.t ->
   (Integrate.summary, Integrate.error) result
 
-(** [integrate_many ?rules ?dtd ?factorize ?world_limit ?jobs sources]
+(** [integrate_many ?rules ?dtd ?factorize ?jobs sources]
     folds any number of sources into one probabilistic document: ordinary
     integration for the first two, {!Integrate.integrate_incremental} for
     each further source. A single source yields its certain embedding; an
@@ -139,7 +139,7 @@ val integration_stats :
     sound individual verdicts, never partial fold state.
 
     [budget] ({!Resilience.Budget}) bounds the whole fold — candidate-grid
-    cells and prior-world expansions tick it; a trip yields
+    cells, local worlds and touched choice combinations tick it; a trip yields
     [Error (Budget_exceeded _)] and, as with any mid-fold failure, no
     partial result escapes. *)
 val integrate_many :
@@ -147,7 +147,6 @@ val integrate_many :
   ?dtd:Dtd.t ->
   ?factorize:bool ->
   ?blocker:Blocking.spec ->
-  ?world_limit:float ->
   ?jobs:int ->
   ?decisions:Decision_cache.t ->
   ?budget:Imprecise_resilience.Budget.t ->

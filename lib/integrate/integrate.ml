@@ -173,99 +173,41 @@ module Engine (R : REP) = struct
           (fun (w, xs) -> List.map (fun (v, ys) -> (w *. v, xs @ ys)) tails)
           alts
 
-  let rec merge cfg trace (a : Tree.t) (b : Tree.t) : (float * R.node) list =
-    let tag = Tree.tag a in
-    let wl = cfg.value_conflict a b in
-    let wr = 1. -. wl in
-    match merge_content cfg trace tag a b with
-    | None ->
-        (* Structural conflict (one side text, other elements): keep the two
-           variants as alternatives. *)
-        [ (wl, embed a); (wr, embed b) ]
-    | Some content ->
-        let attrs_a = Tree.attributes a and attrs_b = Tree.attributes b in
-        let union favour other =
-          favour @ List.filter (fun (k, _) -> not (List.mem_assoc k favour)) other
-        in
-        let conflicting =
-          List.exists
-            (fun (k, v) ->
-              match List.assoc_opt k attrs_b with
-              | Some v' -> v <> v'
-              | None -> false)
-            attrs_a
-        in
-        if conflicting then
-          [
-            (wl, R.elem tag (union attrs_a attrs_b) content);
-            (wr, R.elem tag (union attrs_b attrs_a) content);
-          ]
-        else [ (1., R.elem tag (union attrs_a attrs_b) content) ]
+  let union favour other =
+    favour @ List.filter (fun (k, _) -> not (List.mem_assoc k favour)) other
 
-  (* [None] when the two elements cannot be merged structurally. *)
-  and merge_content cfg trace tag a b : R.dist list option =
-    let text_a, elems_a = split_children tag a in
-    let text_b, elems_b = split_children tag b in
-    match (text_a, elems_a), (text_b, elems_b) with
-    | ("", []), ("", []) -> Some []
-    | (ta, []), (tb, []) when ta <> "" && tb <> "" ->
-        if String.equal ta tb then Some [ R.dist [ (1., [ R.text ta ]) ] ]
-        else (
-          match cfg.reconcile tag ta tb with
-          | Some v -> Some [ R.dist [ (1., [ R.text v ]) ] ]
-          | None ->
-              let wl = cfg.value_conflict a b in
-              Some [ R.dist [ (wl, [ R.text ta ]); (1. -. wl, [ R.text tb ]) ] ])
-    | (ta, []), ("", []) when ta <> "" -> Some [ R.dist [ (1., [ R.text ta ]) ] ]
-    | ("", []), (tb, []) when tb <> "" -> Some [ R.dist [ (1., [ R.text tb ]) ] ]
-    | ("", ea), ("", eb) -> Some (merge_element_children cfg trace tag ea eb)
-    | _ -> None
+  let conflicting attrs_a attrs_b =
+    List.exists
+      (fun (k, v) ->
+        match List.assoc_opt k attrs_b with Some v' -> v <> v' | None -> false)
+      attrs_a
 
-  and merge_element_children cfg trace tag ea eb : R.dist list =
-    (* 1. Reconcile child tags the DTD caps at one occurrence. *)
-    let child_tags l = List.filter_map Tree.name l in
-    let seen = Hashtbl.create 8 in
-    let tags_in_order =
-      List.filter
-        (fun t ->
-          if Hashtbl.mem seen t then false
-          else begin
-            Hashtbl.add seen t ();
-            true
-          end)
-        (child_tags ea @ child_tags eb)
-    in
-    let is_special t =
-      Xml.Dtd.max_one cfg.dtd ~parent:tag ~child:t
-      && List.length (List.filter (fun c -> Tree.name c = Some t) ea) <= 1
-      && List.length (List.filter (fun c -> Tree.name c = Some t) eb) <= 1
-    in
-    let special_tags = List.filter is_special tags_in_order in
-    let special_dists =
-      Obs.Trace.with_span "reconcile" @@ fun () ->
-      List.filter_map
-        (fun t ->
-          let ca = List.find_opt (fun c -> Tree.name c = Some t) ea in
-          let cb = List.find_opt (fun c -> Tree.name c = Some t) eb in
-          match ca, cb with
-          | None, None -> None
-          | Some c, None | None, Some c -> Some (R.dist [ (1., [ embed c ]) ])
-          | Some ca, Some cb ->
-              if Tree.deep_equal ca cb then Some (R.dist [ (1., [ embed ca ]) ])
-              else
-                let alts = merge cfg trace ca cb in
-                Some (R.dist (List.map (fun (w, n) -> (w, [ n ])) alts)))
-        special_tags
-    in
-    let general l =
-      List.filter
-        (fun c -> match Tree.name c with Some t -> not (is_special t) | None -> false)
-        l
-    in
-    let ga = Array.of_list (general ea) and gb = Array.of_list (general eb) in
-    (* 2. Candidate graph over the general pool. Decision-cache keys are
-       built once per child: one intern traversal each, here and
-       single-threaded, so the band workers never take the intern lock. *)
+  (* [tag_counts tags t] is how often [t] occurs in [tags]. *)
+  let tag_counts tags =
+    let counts = Hashtbl.create 8 in
+    List.iter
+      (fun t ->
+        Hashtbl.replace counts t (1 + Option.value ~default:0 (Hashtbl.find_opt counts t)))
+      tags;
+    fun t -> Option.value ~default:0 (Hashtbl.find_opt counts t)
+
+  (* How the child step reads the left side's element children: plain
+     trees in a two-source merge, children of the probabilistic document in
+     the structural fold ([Fold] below). *)
+  type 'l left = {
+    tag_of : 'l -> string;
+    embed_l : 'l -> R.node;
+    merge_l : 'l -> Tree.t -> (float * R.node) list;  (** a matched pair *)
+    reconcile_l : 'l -> Tree.t -> (float * R.node) list;
+        (** a pair under a tag the DTD caps at one occurrence *)
+  }
+
+  (* The candidate graph of [ga] × [gb]: the blocker's plan picks the cells,
+     the Oracle scores them. *)
+  let grid cfg trace (ga : Tree.t array) (gb : Tree.t array) : Matching.graph =
+    (* Decision-cache keys are built once per child: one intern traversal
+       each, here and single-threaded, so the band workers never take the
+       intern lock. *)
     let decide =
       match cfg.decisions with
       | None -> fun i j -> O.decide cfg.oracle ga.(i) gb.(j)
@@ -283,10 +225,10 @@ module Engine (R : REP) = struct
       if Tree.name ga.(i) <> Tree.name gb.(j) then O.Different
       else try decide i j with O.Conflict msg -> raise (Run_error (Oracle_conflict msg))
     in
-    (* 3. Compile the blocker's candidate plan — the pluggable stage in
-       front of the grid. The plan is built here, before any domain fans
-       out, and is immutable afterwards; index construction ticks the same
-       budget as grid cells. *)
+    (* The blocker's candidate plan is the pluggable stage in front of the
+       grid. It is built here, before any domain fans out, and is immutable
+       afterwards; index construction ticks the same budget as grid
+       cells. *)
     let plan =
       match cfg.blocker with
       | Blocking.All_pairs -> None
@@ -325,9 +267,62 @@ module Engine (R : REP) = struct
           ]
         "integrate.block"
     end;
+    graph
+
+  let positions keep arr =
+    let out = ref [] in
+    Array.iteri (fun i x -> if keep x then out := i :: !out) arr;
+    Array.of_list (List.rev !out)
+
+  (* The child step of one merged element. [count_b] counts the right
+     side's children per tag, [score ga gb] is the candidate graph over the
+     general pools, given as positions in [ea] and [eb]. *)
+  let children cfg trace tag (l : 'l left) ~count_b ~score (ea : 'l array)
+      (eb : Tree.t array) : R.dist list =
+    (* 1. Reconcile child tags the DTD caps at one occurrence. *)
+    let tags_a = Array.to_list (Array.map l.tag_of ea) in
+    let count_a = tag_counts tags_a in
+    let seen = Hashtbl.create 8 in
+    let tags_in_order =
+      List.filter
+        (fun t ->
+          if Hashtbl.mem seen t then false
+          else begin
+            Hashtbl.add seen t ();
+            true
+          end)
+        (tags_a @ List.filter_map Tree.name (Array.to_list eb))
+    in
+    let is_special t =
+      Xml.Dtd.max_one cfg.dtd ~parent:tag ~child:t && count_a t <= 1 && count_b t <= 1
+    in
+    let special_tags = List.filter is_special tags_in_order in
+    let special_dists =
+      Obs.Trace.with_span "reconcile" @@ fun () ->
+      List.filter_map
+        (fun t ->
+          let ca = Array.find_opt (fun c -> l.tag_of c = t) ea in
+          let cb = Array.find_opt (fun c -> Tree.name c = Some t) eb in
+          match ca, cb with
+          | None, None -> None
+          | Some c, None -> Some (R.dist [ (1., [ l.embed_l c ]) ])
+          | None, Some c -> Some (R.dist [ (1., [ embed c ]) ])
+          | Some ca, Some cb ->
+              Some (R.dist (List.map (fun (w, n) -> (w, [ n ])) (l.reconcile_l ca cb))))
+        special_tags
+    in
+    (* 2. Candidate graph over the general pool. *)
+    let ga_pos = positions (fun c -> not (is_special (l.tag_of c))) ea in
+    let gb_pos =
+      positions
+        (fun c -> match Tree.name c with Some t -> not (is_special t) | None -> false)
+        eb
+    in
+    let graph = score ga_pos gb_pos in
+    let ga = Array.map (fun i -> ea.(i)) ga_pos and gb = Array.map (fun j -> eb.(j)) gb_pos in
     let iso_left, iso_right = Matching.isolated graph in
     let certain_dist =
-      match List.map (fun i -> embed ga.(i)) iso_left
+      match List.map (fun i -> l.embed_l ga.(i)) iso_left
             @ List.map (fun j -> embed gb.(j)) iso_right
       with
       | [] -> []
@@ -341,11 +336,11 @@ module Engine (R : REP) = struct
       match Hashtbl.find_opt merged_memo (i, j) with
       | Some alts -> alts
       | None ->
-          let alts = merge cfg trace ga.(i) gb.(j) in
+          let alts = l.merge_l ga.(i) gb.(j) in
           Hashtbl.add merged_memo (i, j) alts;
           alts
     in
-    let embed_left = lazy (Array.map embed ga) and embed_right = lazy (Array.map embed gb) in
+    let embed_left = lazy (Array.map l.embed_l ga) and embed_right = lazy (Array.map embed gb) in
     let cluster_possibilities (c : Matching.cluster) : (float * R.node list) list =
       let ms =
         Obs.Trace.with_span "enumerate" (fun () ->
@@ -384,6 +379,60 @@ module Engine (R : REP) = struct
               else [ R.joint ~limit:cfg.max_possibilities possibilities ])
     in
     special_dists @ certain_dist @ cluster_dists
+
+  let rec merge cfg trace (a : Tree.t) (b : Tree.t) : (float * R.node) list =
+    let tag = Tree.tag a in
+    let wl = cfg.value_conflict a b in
+    let wr = 1. -. wl in
+    match merge_content cfg trace tag a b with
+    | None ->
+        (* Structural conflict (one side text, other elements): keep the two
+           variants as alternatives. *)
+        [ (wl, embed a); (wr, embed b) ]
+    | Some content ->
+        let attrs_a = Tree.attributes a and attrs_b = Tree.attributes b in
+        if conflicting attrs_a attrs_b then
+          [
+            (wl, R.elem tag (union attrs_a attrs_b) content);
+            (wr, R.elem tag (union attrs_b attrs_a) content);
+          ]
+        else [ (1., R.elem tag (union attrs_a attrs_b) content) ]
+
+  (* [None] when the two elements cannot be merged structurally. *)
+  and merge_content cfg trace tag a b : R.dist list option =
+    let text_a, elems_a = split_children tag a in
+    let text_b, elems_b = split_children tag b in
+    match (text_a, elems_a), (text_b, elems_b) with
+    | ("", []), ("", []) -> Some []
+    | (ta, []), (tb, []) when ta <> "" && tb <> "" ->
+        if String.equal ta tb then Some [ R.dist [ (1., [ R.text ta ]) ] ]
+        else (
+          match cfg.reconcile tag ta tb with
+          | Some v -> Some [ R.dist [ (1., [ R.text v ]) ] ]
+          | None ->
+              let wl = cfg.value_conflict a b in
+              Some [ R.dist [ (wl, [ R.text ta ]); (1. -. wl, [ R.text tb ]) ] ])
+    | (ta, []), ("", []) when ta <> "" -> Some [ R.dist [ (1., [ R.text ta ]) ] ]
+    | ("", []), (tb, []) when tb <> "" -> Some [ R.dist [ (1., [ R.text tb ]) ] ]
+    | ("", ea), ("", eb) ->
+        let ea = Array.of_list ea and eb = Array.of_list eb in
+        let pick arr pos = Array.map (fun i -> arr.(i)) pos in
+        Some
+          (children cfg trace tag (trees cfg trace)
+             ~count_b:(tag_counts (List.filter_map Tree.name (Array.to_list eb)))
+             ~score:(fun ga gb -> grid cfg trace (pick ea ga) (pick eb gb))
+             ea eb)
+    | _ -> None
+
+  and trees cfg trace =
+    {
+      tag_of = Tree.tag;
+      embed_l = embed;
+      merge_l = merge cfg trace;
+      reconcile_l =
+        (fun ca cb ->
+          if Tree.deep_equal ca cb then [ (1., embed ca) ] else merge cfg trace ca cb);
+    }
 
   let run cfg trace (a : Tree.t) (b : Tree.t) : R.dist =
     match Tree.name a, Tree.name b with
@@ -534,29 +583,429 @@ let stats cfg a b =
       note_trace trace;
       { nodes = m.Count_rep.nodes; worlds = m.Count_rep.worlds; trace })
 
-let integrate_incremental cfg ?(world_limit = 1000.) doc source =
-  let combos = P.world_count doc in
-  if combos > world_limit then Error (Too_large (int_of_float world_limit))
-  else begin
-    Obs.Metrics.incr c_runs;
-    let trace = new_trace () in
-    recorded ~op:"integrate.incremental" @@ fun () ->
-    run_catching (fun () ->
-        let choices =
-          List.concat_map
-            (fun (p, forest) ->
-              match forest with
-              | [ world_root ] ->
-                  let merged = Materializer.run cfg trace world_root source in
-                  List.map
-                    (fun (c : P.choice) -> { c with P.prob = p *. c.prob })
-                    merged.P.choices
-              | _ ->
-                  raise
-                    (Run_error
-                       (Root_mismatch
-                          ("#forest", Option.value ~default:"#text" (Tree.name source)))))
-            (Imprecise_pxml.Worlds.merged ?budget:cfg.budget doc)
+(* ---- the structural fold ------------------------------------------------------------ *)
+
+(* [integrate_incremental] (semantics in the mli): the touched probability
+   nodes of each element are enumerated group by group through
+   [Materializer.children], the rest is carried over by pointer. *)
+module Fold = struct
+  module M = Materializer
+
+  type vertex = {
+    node : P.node;  (** the child as stored, carried over by pointer *)
+    world : Tree.t option;
+        (** its only local world, or the world a split vertex stands for *)
+    worlds : (float * Tree.t) list Lazy.t;
+    edges : (int * float) list;
+        (** (position among the source's children, probability), ascending *)
+    merged : (Tree.t * (float * P.node) list) list ref;
+    reconciled : (Tree.t * (float * P.node) list) list ref;
+        (** per source child, across the combinations that meet it *)
+  }
+
+  (* Children are shared between possibilities (a joint probability node
+     repeats its clusters' nodes), so they are keyed by identity. *)
+  module Phys = Hashtbl.Make (struct
+    type t = P.node
+
+    let equal = ( == )
+
+    let hash = Hashtbl.hash
+  end)
+
+  let live (d : P.dist) = List.filter (fun (c : P.choice) -> c.P.prob > 0.) d.P.choices
+
+  let is_elem = function P.Elem _ -> true | P.Text _ -> false
+
+  let elems (c : P.choice) = List.filter is_elem c.P.nodes
+
+  let tag_of = function P.Elem (t, _, _) -> t | P.Text _ -> ""
+
+  let tick cfg = Option.iter Budget.tick cfg.budget
+
+  let too_large cfg = raise (Run_error (Too_large cfg.max_possibilities))
+
+  (* The local worlds of one child in canonical form (adjacent text
+     joined, as a whole world reads), each ticking the budget. *)
+  let local_worlds cfg (n : P.node) : (float * Tree.t) list =
+    let rec take k seq acc =
+      match seq () with
+      | Seq.Nil -> List.rev acc
+      | Seq.Cons ((p, t), rest) ->
+          if k = 0 then too_large cfg;
+          tick cfg;
+          take (k - 1) rest ((p, Tree.canonical t) :: acc)
+    in
+    take cfg.max_possibilities (Imprecise_pxml.Worlds.enumerate_node n) []
+
+  let scale p alts = List.map (fun (w, n) -> (p *. w, n)) alts
+
+  (* Alternatives that are one element with at most one probability node
+     each mix into that element over the mixed node: the same worlds, one
+     alternative — what keeps a leaf folded source after source to one
+     choice per value. *)
+  let mix alts =
+    let single = function
+      | P.Elem (tag, attrs, ([] | [ _ ])) -> Some (tag, attrs)
+      | P.Elem _ | P.Text _ -> None
+    in
+    match alts with
+    | [] | [ _ ] -> alts
+    | (_, first) :: _ -> (
+        match single first with
+        | Some shape when List.for_all (fun (_, n) -> single n = Some shape) alts ->
+            let tag, attrs = shape in
+            let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. alts in
+            let choices =
+              List.concat_map
+                (fun (w, n) ->
+                  match n with
+                  | P.Elem (_, _, [ d ]) ->
+                      List.map
+                        (fun (c : P.choice) -> { c with P.prob = w /. total *. c.P.prob })
+                        d.P.choices
+                  | _ -> [ P.choice ~prob:(w /. total) [] ])
+                alts
+            in
+            [ (total, P.Elem (tag, attrs, [ P.dist choices ])) ]
+        | _ -> alts)
+
+  let memo table (s : Tree.t) f =
+    match List.assq_opt s !table with
+    | Some alts -> alts
+    | None ->
+        let alts = f () in
+        table := (s, alts) :: !table;
+        alts
+
+  (* The mixture over [n]'s worlds of their merge with [b]. *)
+  let rec fold_elem cfg trace (n : P.node) (b : Tree.t) : (float * P.node) list =
+    match n with
+    | P.Elem (tag, attrs, content) ->
+        let text_b, eb = M.split_children tag b in
+        let attrs_b = Tree.attributes b in
+        let texty =
+          List.exists
+            (fun d ->
+              List.exists
+                (fun (c : P.choice) ->
+                  List.exists
+                    (function P.Text s -> Tree.normalize_space s <> "" | P.Elem _ -> false)
+                    c.P.nodes)
+                (live d))
+            content
         in
-        Imprecise_pxml.Compact.compact (P.dist choices))
-  end
+        if text_b = "" && (not texty) && not (M.conflicting attrs attrs_b) then
+          (* Every world merges its element children and nothing else: one
+             element whose content folds structurally. *)
+          [
+            ( 1.,
+              P.Elem (tag, M.union attrs attrs_b, fold_children cfg trace tag content (Array.of_list eb)) );
+          ]
+        else
+          (* Text, or a conflict [value_conflict] weighs per world. *)
+          mix
+            (List.concat_map (fun (p, a) -> scale p (M.merge cfg trace a b)) (local_worlds cfg n))
+    | P.Text _ -> invalid_arg "Integrate.Fold.fold_elem: text node"
+
+  and fold_children cfg trace tag (content : P.dist list) (eb : Tree.t array) : P.dist list =
+    let count_b = M.tag_counts (List.filter_map Tree.name (Array.to_list eb)) in
+    let capped t = Xml.Dtd.max_one cfg.dtd ~parent:tag ~child:t && count_b t = 1 in
+    let choices = List.map (fun d -> List.map (fun c -> (c, elems c)) (live d)) content in
+    (* A capped tag that no world holds twice is always reconciled, never
+       scored: probability nodes choose independently, so the most
+       children of a tag one world holds is a sum of per-node maxima. *)
+    let always_reconciled t =
+      capped t
+      && List.fold_left
+           (fun acc cs ->
+             acc
+             + List.fold_left
+                 (fun m (_, ns) ->
+                   max m (List.length (List.filter (fun n -> tag_of n = t) ns)))
+                 0 cs)
+           0 choices
+         <= 1
+    in
+    let scored t = count_b t > 0 && not (always_reconciled t) in
+    (* 1. Every distinct child, in order of first appearance. *)
+    let index = Phys.create 16 in
+    let distinct = ref [] in
+    List.iter
+      (List.iter
+         (fun (_, ns) ->
+           List.iter
+             (fun n ->
+               if not (Phys.mem index n) then begin
+                 Phys.add index n (Phys.length index);
+                 distinct := n :: !distinct
+               end)
+             ns))
+      choices;
+    let distinct = Array.of_list (List.rev !distinct) in
+    (* 2. One grid: every local world of every scored child against the
+       source children whose tags it could pair with. *)
+    let worlds =
+      Obs.Trace.with_span "enumerate" @@ fun () ->
+      Array.map
+        (fun n -> if scored (tag_of n) then local_worlds cfg n else [])
+        distinct
+    in
+    let rows = List.concat (Array.to_list (Array.map (List.map snd) worlds)) in
+    let right_pos =
+      M.positions (fun c -> match Tree.name c with Some t -> scored t | None -> false) eb
+    in
+    let row_edges =
+      match rows with
+      | [] -> [||]
+      | rows ->
+          let graph =
+            M.grid cfg trace (Array.of_list rows) (Array.map (fun j -> eb.(j)) right_pos)
+          in
+          let out = Array.make (List.length rows) [] in
+          List.iter
+            (fun (e : Matching.edge) ->
+              out.(e.Matching.left) <- (right_pos.(e.Matching.right), e.Matching.prob) :: out.(e.Matching.left))
+            graph.Matching.edges;
+          Array.map List.rev out
+    in
+    (* 3. Vertices: a child whose local worlds all score alike is one
+       vertex; otherwise each of its worlds is one. *)
+    let vertex ?world ~worlds edges node =
+      { node; world; worlds; edges; merged = ref []; reconciled = ref [] }
+    in
+    let row = ref 0 in
+    let alternatives =
+      Array.mapi
+        (fun k n ->
+          match worlds.(k) with
+          | [] -> [ (1., vertex ~worlds:(lazy (local_worlds cfg n)) [] n) ]
+          | ws ->
+              let first = !row in
+              row := !row + List.length ws;
+              let edges = List.init (List.length ws) (fun i -> row_edges.(first + i)) in
+              if List.for_all (( = ) (List.hd edges)) edges then
+                let world = match ws with [ (_, t) ] -> Some t | _ -> None in
+                [ (1., vertex ?world ~worlds:(Lazy.from_val ws) (List.hd edges) n) ]
+              else
+                List.map2
+                  (fun (p, t) e -> (p, vertex ~world:t ~worlds:(Lazy.from_val [ (1., t) ]) e (M.embed t)))
+                  ws edges)
+        distinct
+    in
+    let touches n =
+      capped (tag_of n) || List.exists (fun (_, v) -> v.edges <> []) alternatives.(Phys.find index n)
+    in
+    (* 4. Group the touched probability nodes with the source children
+       they reach: union-find over the nodes, then the source children. *)
+    let n_dists = List.length content in
+    let parent = Array.init (n_dists + Array.length eb) Fun.id in
+    let rec find x =
+      if parent.(x) = x then x
+      else begin
+        let root = find parent.(x) in
+        parent.(x) <- root;
+        root
+      end
+    in
+    let union x y =
+      let x = find x and y = find y in
+      if x <> y then parent.(max x y) <- min x y
+    in
+    let capped_right = Hashtbl.create 4 in
+    Array.iteri
+      (fun r c ->
+        match Tree.name c with
+        | Some t when capped t -> Hashtbl.replace capped_right t r
+        | _ -> ())
+      eb;
+    let touched =
+      Array.of_list (List.map (List.exists (fun (_, ns) -> List.exists touches ns)) choices)
+    in
+    List.iteri
+      (fun d cs ->
+        if touched.(d) then
+          List.iter
+            (fun (_, ns) ->
+              List.iter
+                (fun n ->
+                  List.iter
+                    (fun (_, v) -> List.iter (fun (r, _) -> union d (n_dists + r)) v.edges)
+                    alternatives.(Phys.find index n);
+                  Option.iter
+                    (fun r -> union d (n_dists + r))
+                    (Hashtbl.find_opt capped_right (tag_of n)))
+                ns)
+            cs)
+      choices;
+    let groups = Hashtbl.create 4 and order = ref [] in
+    List.iteri
+      (fun d cs ->
+        if touched.(d) then begin
+          let g = find d in
+          match Hashtbl.find_opt groups g with
+          | Some (dists, rights) -> Hashtbl.replace groups g (cs :: dists, rights)
+          | None ->
+              order := g :: !order;
+              Hashtbl.replace groups g ([ cs ], [])
+        end)
+      choices;
+    let untouched_right = ref [] in
+    for r = Array.length eb - 1 downto 0 do
+      let g = find (n_dists + r) in
+      match Hashtbl.find_opt groups g with
+      | Some (dists, rights) -> Hashtbl.replace groups g (dists, r :: rights)
+      | None -> untouched_right := M.embed eb.(r) :: !untouched_right
+    done;
+    (* 5. Untouched probability nodes by pointer, untouched source children
+       certain, and the groups' mixtures. *)
+    let untouched =
+      List.filteri (fun d _ -> not touched.(d)) content
+      |> List.map (fun (dist : P.dist) ->
+             (* whitespace text is dropped, as a merge drops it *)
+             if List.for_all (fun (c : P.choice) -> List.for_all is_elem c.P.nodes) dist.P.choices
+             then dist
+             else P.dist (List.map (fun (c : P.choice) -> { c with P.nodes = elems c }) dist.P.choices))
+    in
+    let mixtures =
+      List.concat_map
+        (fun g ->
+          let dists, rights = Hashtbl.find groups g in
+          group cfg trace tag ~count_b
+            ~alternatives:(fun n -> alternatives.(Phys.find index n))
+            (List.rev dists) (Array.of_list rights) eb)
+        (List.rev !order)
+    in
+    untouched
+    @ (match !untouched_right with [] -> [] | nodes -> [ P.certain nodes ])
+    @ mixtures
+
+  (* One group: its probability nodes' choice combinations, each merged
+     with the group's source children, mixed into one probability node. *)
+  and group cfg trace tag ~count_b ~alternatives dists rights eb : P.dist list =
+    (* A possibility expands into the worlds of its split children; the
+       combinations are counted before any is built. *)
+    let product f l = List.fold_left (fun acc x -> acc *. f x) 1. l in
+    let count cs =
+      List.fold_left
+        (fun acc (_, ns) ->
+          acc +. product (fun n -> float_of_int (List.length (alternatives n))) ns)
+        0. cs
+    in
+    if product count dists > float_of_int cfg.max_possibilities then too_large cfg;
+    let expanded cs =
+      List.concat_map
+        (fun ((c : P.choice), ns) ->
+          List.map
+            (fun (q, vs) -> (c.P.prob *. q, vs))
+            (M.cross (List.map (fun n -> List.map (fun (p, v) -> (p, [ v ])) (alternatives n)) ns)))
+        cs
+    in
+    let combos = Obs.Trace.with_span "enumerate" (fun () -> M.cross (List.map expanded dists)) in
+    let local = Array.make (Array.length eb) (-1) in
+    Array.iteri (fun j r -> local.(r) <- j) rights;
+    let right_trees = Array.map (fun r -> eb.(r)) rights in
+    let score (vs : vertex array) ga gb =
+      let column = Array.make (Array.length rights) (-1) in
+      Array.iteri (fun j r -> column.(r) <- j) gb;
+      let edges =
+        List.concat
+          (List.mapi
+             (fun i a ->
+               List.filter_map
+                 (fun (r, prob) ->
+                   let j = column.(local.(r)) in
+                   if j < 0 then None else Some { Matching.left = i; right = j; prob })
+                 vs.(a).edges)
+             (Array.to_list ga))
+      in
+      { Matching.n_left = Array.length ga; n_right = Array.length gb; edges }
+    in
+    let contents =
+      List.map
+        (fun (q, vs) ->
+          tick cfg;
+          let vs = Array.of_list vs in
+          (q, M.children cfg trace tag (vertices cfg trace) ~count_b ~score:(score vs) vs right_trees))
+        combos
+    in
+    match contents with
+    | [ (1., content) ] -> content
+    | contents ->
+        let size (_, content) =
+          product (fun (d : P.dist) -> float_of_int (List.length d.P.choices)) content
+        in
+        if List.fold_left (fun acc c -> acc +. size c) 0. contents
+           > float_of_int cfg.max_possibilities
+        then too_large cfg;
+        let possibilities =
+          List.concat_map
+            (fun (q, content) ->
+              scale q
+                (M.cross
+                   (List.map
+                      (fun (d : P.dist) ->
+                        List.map (fun (c : P.choice) -> (c.P.prob, c.P.nodes)) d.P.choices)
+                      content)))
+            contents
+        in
+        [ P.dist (List.map (fun (w, nodes) -> P.choice ~prob:w nodes) possibilities) ]
+
+  and vertices cfg trace : vertex M.left =
+    {
+      M.tag_of = (fun v -> tag_of v.node);
+      embed_l = (fun v -> v.node);
+      merge_l =
+        (fun v s ->
+          memo v.merged s @@ fun () ->
+          match v.world with
+          | Some t -> M.merge cfg trace t s
+          | None -> fold_elem cfg trace v.node s);
+      reconcile_l =
+        (fun v s ->
+          memo v.reconciled s @@ fun () ->
+          match v.world with
+          | Some t -> if Tree.deep_equal t s then [ (1., v.node) ] else M.merge cfg trace t s
+          | None ->
+              let ws = List.map (fun (p, t) -> (p, t, Tree.deep_equal t s)) (Lazy.force v.worlds) in
+              if List.for_all (fun (_, _, eq) -> not eq) ws then fold_elem cfg trace v.node s
+              else if List.for_all (fun (_, _, eq) -> eq) ws then [ (1., v.node) ]
+              else
+                mix
+                  (List.concat_map
+                     (fun (p, t, eq) ->
+                       if eq then [ (p, M.embed t) ] else scale p (M.merge cfg trace t s))
+                     ws));
+    }
+
+  let run cfg trace (doc : P.doc) (source : Tree.t) : P.doc =
+    let tb =
+      match Tree.name source with
+      | Some t -> t
+      | None -> raise (Run_error (Root_mismatch ("#text", "#text")))
+    in
+    let choices =
+      List.concat_map
+        (fun (c : P.choice) ->
+          match c.P.nodes with
+          | [ (P.Elem (ta, _, _) as root) ] ->
+              if ta <> tb then raise (Run_error (Root_mismatch (ta, tb)));
+              List.map
+                (fun (w, n) -> P.choice ~prob:(c.P.prob *. w) [ n ])
+                (fold_elem cfg trace root source)
+          | [ P.Text _ ] -> raise (Run_error (Root_mismatch ("#text", "#text")))
+          | _ -> raise (Run_error (Root_mismatch ("#forest", tb))))
+        (live doc)
+    in
+    Imprecise_pxml.Compact.compact (P.dist choices)
+end
+
+let integrate_incremental cfg doc source =
+  Obs.Metrics.incr c_runs;
+  if cfg.jobs > 1 then Obs.Metrics.incr c_par_runs;
+  let trace = new_trace () in
+  recorded ~op:"integrate.incremental" @@ fun () ->
+  run_catching (fun () ->
+      let doc = Fold.run cfg trace doc source in
+      note_trace trace;
+      doc)

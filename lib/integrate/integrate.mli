@@ -70,8 +70,9 @@ type config = {
           purity contract. *)
   budget : Imprecise_resilience.Budget.t option;
       (** cooperative deadline / work-pool token (default [None]): ticked
-          once per candidate-grid cell and once per prior world during
-          {!integrate_incremental}'s fold. A trip surfaces as
+          once per candidate-grid cell, and during
+          {!integrate_incremental} also once per enumerated local world
+          and touched choice combination. A trip surfaces as
           [Error (Budget_exceeded _)], never as an exception, and with
           [jobs > 1] cancels the sibling band domains at their next tick.
           See doc/resilience.md. *)
@@ -150,14 +151,46 @@ val integrate_traced :
     inputs far beyond [max_possibilities]. *)
 val stats : config -> Xml.Tree.t -> Xml.Tree.t -> (summary, error) result
 
-(** [integrate_incremental cfg ?world_limit doc source] folds a further
-    source into an already-probabilistic document — the dataspace story:
-    sources arrive over time, and each is integrated against the current
-    uncertain state. Semantics: integrate [source] with every possible
-    world of [doc] and combine the results, weighted by the world
-    probabilities (then compact). Exponential in the prior uncertainty, so
-    guarded by [world_limit] (default 1000 choice combinations; fails with
-    [Too_large]). Give feedback first to shrink the world space if the
-    guard fires. *)
+(** [integrate_incremental cfg doc source] folds a further source into an
+    already-probabilistic document — the dataspace story: sources arrive
+    over time, and each is integrated against the current uncertain state.
+
+    {b Semantics.} The result has the world distribution of integrating
+    [source] with every possible world of [doc] and mixing the results by
+    world probability (then {!Pxml.Compact.compact}). It is computed
+    without enumerating [doc]'s worlds, in one pass over the document:
+
+    - at each element, a probability node is {e touched} when one of its
+      possibilities holds a child that could pair with a child of
+      [source]: same tag, a candidate of the [blocker], not [Different]
+      under the Oracle for some local world of the child — or a child
+      under a tag the DTD caps at one occurrence that [source] also has;
+    - untouched probability nodes are carried over by pointer, and
+      [source] children no child can reach stay certain;
+    - touched probability nodes are grouped with the [source] children
+      they reach, and each group's choice combinations are enumerated
+      jointly and merged by the two-source engine into one mixture
+      probability node. A child whose Oracle verdicts are the same in all
+      its local worlds stays one probabilistic vertex, and a matched pair
+      recurses into it; a child whose verdicts differ is split into its
+      local worlds. An element with text content, with attributes that
+      conflict with [source]'s, or facing text in [source] is merged per
+      local world.
+
+    {b Sibling order} is not that of the per-world reference: carried-over
+    content keeps its place, so siblings may come out permuted. Two folds
+    are equal when their world distributions are equal after sorting each
+    element's children. A DTD-capped tag occurs at most once per element,
+    so the order lost is that among general siblings; DTD cardinalities
+    are order-free, so every world validates exactly as before. With a
+    [Sorted_neighbourhood] blocker, whose window depends on the whole
+    pool, equality holds as far as the blocker is recall-safe (its
+    contract, {!Blocking}).
+
+    {b Limits.} Each group's joint enumeration, each child's local worlds
+    and each mixture are capped by [max_possibilities] ([Too_large]); the
+    prior world count itself is not limited. The [budget] is ticked once
+    per grid cell, per enumerated local world and per touched
+    combination. *)
 val integrate_incremental :
-  config -> ?world_limit:float -> Pxml.Pxml.doc -> Xml.Tree.t -> (Pxml.Pxml.doc, error) result
+  config -> Pxml.Pxml.doc -> Xml.Tree.t -> (Pxml.Pxml.doc, error) result

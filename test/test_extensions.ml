@@ -343,12 +343,50 @@ let test_incremental_equals_two_way_on_certain () =
        (fun (p, w) (q, v) -> Float.abs (p -. q) < 1e-9 && List.equal Tree.deep_equal w v)
        (worlds direct) (worlds incremental))
 
+(* The fold's joint enumeration of touched choice points is still guarded,
+   by [max_possibilities]: John's two telephone numbers in Fig. 2 are one
+   touched choice point with two possibilities, over a limit of one. *)
 let test_incremental_guard () =
-  let third = Imprecise.parse_xml_exn "<addressbook/>" in
-  let cfg = Integrate.config ~oracle:(Oracle.make [ Oracle.deep_equal_rule ]) () in
-  match Integrate.integrate_incremental cfg ~world_limit:1. fig2 third with
+  let third =
+    Imprecise.parse_xml_exn
+      "<addressbook><person><nm>John</nm><tel>1111</tel></person></addressbook>"
+  in
+  let cfg =
+    Integrate.config ~oracle:(Oracle.make [ Oracle.deep_equal_rule ]) ~dtd:Addressbook.dtd
+      ~max_possibilities:1 ()
+  in
+  match Integrate.integrate_incremental cfg fig2 third with
   | Error (Integrate.Too_large _) -> ()
   | _ -> Alcotest.fail "expected Too_large"
+
+(* The prior world count does not limit a fold, only [max_possibilities]
+   per touched group does: twelve keyed persons, each with a two-way
+   number choice, make 4096 prior combinations. *)
+let test_incremental_past_old_limit () =
+  let book k =
+    Tree.element "addressbook"
+      (List.init 12 (fun i ->
+           Tree.element "person"
+             [ Tree.leaf "nm" (Printf.sprintf "P%d" i); Tree.leaf "tel" (Printf.sprintf "%d-%d" i k) ]))
+  in
+  let cfg =
+    Integrate.config
+      ~oracle:(Oracle.make [ Oracle.deep_equal_rule; Oracle.key_rule ~tag:"person" ~field:"nm" ])
+      ~dtd:Addressbook.dtd ()
+  in
+  let prior = Result.get_ok (Integrate.integrate cfg (book 0) (book 1)) in
+  check (Alcotest.float 0.) "prior combinations" 4096. (Pxml.world_count prior);
+  match Integrate.integrate_incremental cfg prior (book 2) with
+  | Error e -> Alcotest.failf "fold failed: %a" Integrate.pp_error e
+  | Ok doc ->
+      check Alcotest.bool "valid" true (Result.is_ok (Pxml.validate doc));
+      check
+        Alcotest.(list (pair string (float 1e-9)))
+        "P7's three numbers"
+        [ ("7-2", 0.5); ("7-0", 0.25); ("7-1", 0.25) ]
+        (List.map
+           (fun (a : Imprecise.Answer.t) -> (a.value, a.prob))
+           (Imprecise.rank doc "//person[nm='P7']/tel"))
 
 (* ---- blocking --------------------------------------------------------------------- *)
 
@@ -456,5 +494,6 @@ let suite =
         t "third source refines the state" test_incremental_third_source;
         t "certain base = ordinary integration" test_incremental_equals_two_way_on_certain;
         t "world-limit guard" test_incremental_guard;
+        t "past 1000 combinations" test_incremental_past_old_limit;
       ] );
   ]

@@ -81,6 +81,11 @@ let prop_condition_is_bayes =
   let gen = QCheck.map (fun seed -> fst (Random_docs.pxml (Prng.make seed) ~depth:2)) QCheck.int in
   QCheck.Test.make ~name:"conditioning = Bayes on the world distribution" ~count:80 gen
     (fun doc ->
+      (* The generator's world count is unbounded (2,000 draws: median 9
+         choice combinations, largest ~21k); enumerating the largest made
+         the suite stall on some seeds. The bound keeps over 99% of
+         draws. *)
+      QCheck.assume (Pxml.world_count doc <= 4096.);
       (* predicate: worlds whose serialisation has even length *)
       let pred forest =
         List.fold_left (fun n t -> n + Tree.node_count t) 0 forest mod 2 = 0

@@ -833,10 +833,17 @@ let test_library_span_hierarchy () =
     ]
     (fun () -> Pquery.rank_graded ~budget:(Budget.create ~max_worlds:8 ()) wide_doc "count(//r/v)");
   let person nm tel = Imprecise.Tree.(element "person" [ leaf "nm" nm; leaf "tel" tel ]) in
+  (* The fold scores John's and Mary's local worlds in one grid; only the
+     probability node holding the Johns is touched. The merged John's
+     verdicts depend on his number, so he splits into his two worlds:
+     three combinations, each merged through the two-source child step. *)
   pin "a 3-source integrate_many: one integrate, then one incremental fold"
     [
       "integrate(reconcile block match merge(enumerate reconcile block match))";
-      "integrate.incremental(reconcile block match reconcile block match reconcile block match)";
+      "integrate.incremental(enumerate block match enumerate"
+      ^ String.concat ""
+          (List.init 3 (fun _ -> " reconcile merge(enumerate reconcile block match)"))
+      ^ ")";
     ]
     (fun () ->
       Imprecise.integrate_many ~dtd:Addressbook.dtd
@@ -844,7 +851,7 @@ let test_library_span_hierarchy () =
         [
           Addressbook.source_a;
           Addressbook.source_b;
-          Imprecise.Tree.element "addressbook" [ person "Mary" "3333" ];
+          Imprecise.Tree.element "addressbook" [ person "John" "1111"; person "Mary" "3333" ];
         ]);
   let store = Store.create () in
   Store.put store "doc" (Store.Probabilistic movies);

@@ -12,7 +12,9 @@
      big enough to actually cross the parallel threshold and fan out;
    - the decision cache riding along: a cached run must answer the same
      as an uncached one, and a repeat run on the same cache must be
-     served mostly from memory (hits observed, oracle decisions flat).
+     served mostly from memory (hits observed, oracle decisions flat);
+   - the structural fold of a third book into an integrated pair, whose
+     one grid per element is scored by the same banded engine.
 
    Runs under `dune runtest` and alone via `dune build @par-stress`; case
    count overridable through PAR_FUZZ_CASES. *)
@@ -111,6 +113,28 @@ let check_large_case n seed =
       same_trace seed (Printf.sprintf "larger(%d) jobs=%d" n jobs) trace1 trace)
     [ 2; 4; 8 ]
 
+(* Folds: a third book into an integrated pair, with jobs 1, 2 and 4. The
+   root's grid holds every local world of every person against the third
+   book's persons, so it crosses the parallel threshold. *)
+let check_fold_case n seed =
+  let a, b = Addressbook.larger n (3000 + seed) in
+  let third, _ = Addressbook.larger n (4000 + seed) in
+  let doc =
+    match Integrate.integrate (config ~jobs:1 ()) a b with
+    | Ok doc -> doc
+    | Error e -> (fail seed "fold setup (%d) failed: %a" n Integrate.pp_error e; exit 1)
+  in
+  let fold jobs =
+    match Integrate.integrate_incremental (config ~jobs ()) doc third with
+    | Ok folded -> encode folded
+    | Error e -> (fail seed "fold(%d) jobs=%d failed: %a" n jobs Integrate.pp_error e; exit 1)
+  in
+  let sequential = fold 1 in
+  List.iter
+    (fun jobs ->
+      if fold jobs <> sequential then fail seed "fold(%d): jobs=%d not bit-identical" n jobs)
+    [ 2; 4 ]
+
 let count name = Obs.Metrics.count (Obs.Metrics.counter name)
 
 (* Regression: a band worker failing used to be visible only if it was
@@ -174,6 +198,12 @@ let () =
     incr failures;
     Fmt.epr "FAIL: large cases never took the parallel path@."
   end;
+  let par0 = count "integrate.parallel_runs" in
+  List.iter (fun (n, seed) -> check_fold_case n seed) [ (24, 1); (40, 2) ];
+  if count "integrate.parallel_runs" <= par0 then begin
+    incr failures;
+    Fmt.epr "FAIL: folds never took the parallel path@."
+  end;
   check_decision_cache ();
   check_band_exception_propagation ();
   if !failures > 0 then begin
@@ -181,6 +211,6 @@ let () =
     exit 1
   end;
   Fmt.pr
-    "parallel engine: %d fuzz cases + large grids + decision cache + band-failure \
-     propagation, all identical@."
+    "parallel engine: %d fuzz cases + large grids + folds + decision cache + \
+     band-failure propagation, all identical@."
     cases

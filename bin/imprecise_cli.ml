@@ -794,33 +794,24 @@ let doctor_cmd =
         (* clean means the commit record itself checked out, not just that
            every file the load happened to find was readable *)
         let clean = Store.recovered_all report && report.Store.manifest = `Ok in
-        if migrate then begin
+        if migrate && not (clean || repair) then begin
+          Fmt.epr "imprecise: refusing to migrate a damaged store (run doctor --repair first)@.";
+          exit 1
+        end;
+        if clean && not migrate then exit 0
+        else if repair || migrate then begin
           (* with --repair the quarantining load above already set the
-             directory straight, and the binary save below re-commits the
-             recovered documents — that save IS the repair, in v3 form *)
-          if not (clean || repair) then begin
-            Fmt.epr
-              "imprecise: refusing to migrate a damaged store (run doctor --repair \
-               first)@.";
-            exit 1
-          end;
-          match Store.save ?retry ~format:Store.Binary s ~dir with
-          | Ok () ->
-              Fmt.pr "migrated %d document(s) to the compact binary format (v3)@."
-                (Store.size s);
-              exit 0
-          | Error msg ->
-              Fmt.epr "imprecise: migrate failed: %s@." msg;
-              exit 1
-        end
-        else if clean then exit 0
-        else if repair then begin
+             directory straight; this save re-commits the recovered
+             documents as .ipx under a fresh manifest *)
           match Store.save ?retry s ~dir with
           | Ok () ->
-              Fmt.pr "rewrote a clean manifest for the recovered documents@.";
+              if migrate then
+                Fmt.pr "migrated %d document(s) to the compact binary format (v3)@."
+                  (Store.size s)
+              else Fmt.pr "rewrote a clean manifest for the recovered documents@.";
               exit 0
           | Error msg ->
-              Fmt.epr "imprecise: repair failed: %s@." msg;
+              Fmt.epr "imprecise: %s failed: %s@." (if migrate then "migrate" else "repair") msg;
               exit 1
         end
         else exit 1
@@ -847,12 +838,13 @@ let doctor_cmd =
       value & flag
       & info [ "migrate" ]
           ~doc:
-            "Re-save a clean store in the compact binary format (v3): every document \
-             becomes a checksummed $(b,.ipx) frame with deep-equal subtrees stored \
-             once, committed by the usual staged manifest. Loads auto-detect the \
-             format, so reads need no flag and old XML stores keep working. Refuses \
-             to run on a damaged store unless combined with $(b,--repair), which \
-             quarantines the damage first and migrates what was recovered.")
+            "Re-save a clean store: a plain load and save. Every save writes the \
+             compact binary format (v3), so documents an earlier version stored as \
+             XML become checksummed $(b,.ipx) frames, committed by the usual staged \
+             manifest, and the superseded $(b,.xml) files are deleted. Loads \
+             auto-detect the format, so old XML stores read without this flag. \
+             Refuses to run on a damaged store unless combined with $(b,--repair), \
+             which quarantines the damage first and migrates what was recovered.")
   in
   let retries =
     Arg.(
@@ -870,8 +862,9 @@ let doctor_cmd =
          "Check a store directory: verify every document against the checksummed \
           manifest and print a per-document recovery report. Exits 0 only if the \
           manifest is present and verified and every document was recovered (or \
-          $(b,--repair) restored that state). $(b,--migrate) converts a clean store \
-          to the compact binary format.")
+          $(b,--repair) restored that state). $(b,--migrate) re-saves a clean store, \
+          which rewrites documents an earlier version stored as XML in the compact \
+          binary format.")
     Term.(const run $ dir $ strict $ repair $ migrate $ retries $ telemetry_term)
 
 (* ---- demo -------------------------------------------------------------------------- *)

@@ -27,8 +27,8 @@ let () =
   Store.put store "movies-integrated" (Store.Probabilistic doc);
   Fmt.pr "store now holds: %s@." (String.concat ", " (Store.names store));
 
-  (* Persist and reopen — probabilistic documents round-trip through their
-     XML encoding. The save is atomic (tmp + fsync + rename, committed by a
+  (* Persist and reopen — every document round-trips through a compact
+     binary frame, probabilities bit for bit. The save is atomic (tmp + fsync + rename, committed by a
      checksummed MANIFEST) and the load verifies every file against the
      manifest, salvaging what it can and reporting the rest. *)
   (match Store.save store ~dir with

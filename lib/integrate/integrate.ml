@@ -151,14 +151,17 @@ module Engine (R : REP) = struct
     | Tree.Element _ -> false
 
   (* Split an element's children into meaningful text and elements; reject
-     mixed content. *)
+     mixed content. The text is every text child concatenated, then
+     space-normalised, as [Tree.canonical] merges adjacent text. *)
   let split_children tag t =
     let children = Tree.children t in
-    let texts = List.filter non_ws_text children in
     let elems = List.filter Tree.is_element children in
-    if texts <> [] && elems <> [] then raise (Run_error (Mixed_content tag));
+    if elems <> [] && List.exists non_ws_text children then
+      raise (Run_error (Mixed_content tag));
     let text =
-      Tree.normalize_space (String.concat " " (List.map Tree.text_content texts))
+      Tree.normalize_space
+        (String.concat ""
+           (List.filter_map (function Tree.Text s -> Some s | Tree.Element _ -> None) children))
     in
     (text, elems)
 

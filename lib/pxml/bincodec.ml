@@ -9,31 +9,25 @@ let version = 1
 
 type payload = Certain of Tree.t | Probabilistic of Pxml.doc
 
-(* ---- CRC-32 (IEEE/zlib polynomial, same as Store.Manifest) ------------- *)
+(* ---- CRC-32 (IEEE/zlib polynomial; the manifest uses it too) ----------
+
+   Table-driven on native ints: a 63-bit int holds the 32-bit state, so no
+   byte of the input boxes anything. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      crc := Int32.logxor table.(i) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
+  let crc = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    crc := crc_table.((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 (* ---- primitive writers ------------------------------------------------- *)
 
@@ -116,32 +110,8 @@ let get_bytes r n =
    node) is written as [varint k]: [k = 0] introduces a definition whose
    body follows and which is appended to that production's table once
    complete (post-order), [k > 0] is a back-reference to [table[k-1]].
-   Encoding interns the value first, so deep-equal subtrees are written
-   once and referenced ever after; decoding rebuilds the same sharing
-   physically. *)
-
-module Etbl (T : sig
-  type t
-end) =
-struct
-  module H = Hashtbl.Make (struct
-    type t = T.t
-
-    let equal = ( == )
-
-    let hash = Hashtbl.hash
-  end)
-
-  type t = { tbl : int H.t; mutable next : int }
-
-  let create () = { tbl = H.create 64; next = 0 }
-
-  let find t v = H.find_opt t.tbl v
-
-  let define t v =
-    H.replace t.tbl v t.next;
-    t.next <- t.next + 1
-end
+   Deep-equal subtrees are written once and referenced ever after;
+   decoding rebuilds the same sharing physically. *)
 
 module Dtbl = struct
   type 'a t = { mutable items : 'a array; mutable n : int }
@@ -161,43 +131,122 @@ module Dtbl = struct
   let get r t k = if k < 0 || k >= t.n then fail r "dangling back-reference" else t.items.(k)
 end
 
-(* ---- encoding ---------------------------------------------------------- *)
+(* ---- encoding ----------------------------------------------------------
 
-module Stbl = Etbl (struct
+   Each call hash-conses its document on its own. A node's key is its tag,
+   its attributes and the definition ids of its children (probabilities by
+   their bits), and a table local to the call maps each key to its
+   definition id. Because the key needs the children's ids, a node's body
+   is written first; when its key turns out to be defined already, the
+   buffer is cut back to the node's start and a back-reference written
+   instead. Nothing but strings can have been defined inside such a
+   duplicate (a child given a fresh id would not match the earlier
+   occurrence's), and the cut undefines those strings too. One pass, no
+   global state; the tables die with the call. *)
+
+type key =
+  | K_text of string
+  | K_elem of string * (string * string) list * int list
+  | K_dist of (float * int list) list
+
+let mix h x = (h * 16777619) lxor x
+
+let mix_ids h ids = List.fold_left mix h ids
+
+let bits p = Int64.bits_of_float p
+
+(* Every field is hashed, the id lists to their end; [Hashtbl.hash] on the
+   final int spreads the FNV-style mix over all bits. *)
+let hash_key k =
+  Hashtbl.hash
+    (match k with
+    | K_text s -> Hashtbl.hash s
+    | K_elem (tag, attrs, kids) ->
+        mix_ids
+          (List.fold_left
+             (fun h (k, v) -> mix (mix h (Hashtbl.hash k)) (Hashtbl.hash v))
+             (mix 5 (Hashtbl.hash tag)) attrs)
+          kids
+    | K_dist choices ->
+        List.fold_left (fun h (p, ids) -> mix_ids (mix h (Int64.to_int (bits p))) ids) 17 choices)
+
+let equal_key a b =
+  match (a, b) with
+  | K_text x, K_text y -> String.equal x y
+  | K_elem (t1, a1, k1), K_elem (t2, a2, k2) ->
+      String.equal t1 t2
+      && List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2) a1 a2
+      && List.equal Int.equal k1 k2
+  | K_dist c1, K_dist c2 ->
+      List.equal
+        (fun (p1, i1) (p2, i2) -> Int64.equal (bits p1) (bits p2) && List.equal Int.equal i1 i2)
+        c1 c2
+  | (K_text _ | K_elem _ | K_dist _), _ -> false
+
+module Keys = Hashtbl.Make (struct
+  type t = key
+
+  let equal = equal_key
+
+  let hash = hash_key
+end)
+
+(* Strings are shared by an == probe: a string missed by the probe (same
+   bytes, different allocation) is merely written twice, never decoded
+   differently. The table is keyed by value, and each value keeps the
+   allocations defined under it in an array scanned with ==. (A table
+   hashed by value but compared with == would chain every allocation of a
+   value into one bucket, and a parsed document allocates each element's
+   tag afresh.) *)
+module Values = Hashtbl.Make (struct
   type t = string
+
+  let equal = String.equal
+
+  let hash = Hashtbl.hash
 end)
 
-module Ttbl = Etbl (struct
-  type t = Tree.t
-end)
+type allocs = { mutable strs : string array; mutable sids : int array; mutable n : int }
 
-module Ntbl = Etbl (struct
-  type t = Pxml.node
-end)
-
-module Dstbl = Etbl (struct
-  type t = Pxml.dist
-end)
+type defs = { ids : int Keys.t; mutable next : int }
 
 type encoder = {
   buf : Buffer.t;
-  strings : Stbl.t;
-  trees : Ttbl.t;
-  nodes : Ntbl.t;
-  dists : Dstbl.t;
+  strings : allocs Values.t;
+  mutable n_strings : int;
+  mutable defined : allocs list;  (** where each defined string went, newest first *)
+  trees : defs;
+  nodes : defs;
+  dists : defs;
 }
 
-(* Strings are shared by an == probe over interned values; a string missed
-   by the probe (same bytes, different allocation) is merely written twice,
-   never decoded differently. *)
 let put_string e s =
-  match Stbl.find e.strings s with
-  | Some k -> put_varint e.buf (k + 1)
-  | None ->
-      put_varint e.buf 0;
-      put_varint e.buf (String.length s);
-      Buffer.add_string e.buf s;
-      Stbl.define e.strings s
+  let a =
+    match Values.find_opt e.strings s with
+    | Some a -> a
+    | None ->
+        let a = { strs = [||]; sids = [||]; n = 0 } in
+        Values.add e.strings s a;
+        a
+  in
+  let rec find i = if i < 0 || a.strs.(i) == s then i else find (i - 1) in
+  let i = find (a.n - 1) in
+  if i >= 0 then put_varint e.buf (a.sids.(i) + 1)
+  else begin
+    put_varint e.buf 0;
+    put_varint e.buf (String.length s);
+    Buffer.add_string e.buf s;
+    if a.n = Array.length a.strs then begin
+      let size = max 4 (2 * a.n) in
+      a.strs <- Array.append a.strs (Array.make (size - a.n) s);
+      a.sids <- Array.append a.sids (Array.make (size - a.n) 0)
+    end;
+    a.strs.(a.n) <- s;
+    a.sids.(a.n) <- e.n_strings;
+    a.n <- a.n + 1;
+    e.n_strings <- e.n_strings + 1;
+    e.defined <- a :: e.defined
+  end
 
 let put_attrs e attrs =
   put_varint e.buf (List.length attrs);
@@ -207,64 +256,100 @@ let put_attrs e attrs =
       put_string e v)
     attrs
 
-let rec put_tree e t =
-  match Ttbl.find e.trees t with
-  | Some k -> put_varint e.buf (k + 1)
+(* [close e defs ~start ~strings key] ends the definition whose body was
+   written from buffer offset [start], with [strings] strings defined
+   before it: a new key gets the next id, a known one replaces the body by
+   a back-reference. Either way the result is the node's id. *)
+let close e defs ~start ~strings key =
+  match Keys.find_opt defs.ids key with
+  | Some k ->
+      Buffer.truncate e.buf start;
+      (* undefine the strings the cut took back: each is the newest
+         allocation of its value *)
+      while e.n_strings > strings do
+        match e.defined with
+        | a :: rest ->
+            a.n <- a.n - 1;
+            e.n_strings <- e.n_strings - 1;
+            e.defined <- rest
+        | [] -> assert false
+      done;
+      put_varint e.buf (k + 1);
+      k
   | None ->
-      put_varint e.buf 0;
-      (match t with
-      | Tree.Text s ->
-          Buffer.add_char e.buf '\000';
-          put_string e s
-      | Tree.Element (name, attrs, children) ->
-          Buffer.add_char e.buf '\001';
-          put_string e name;
-          put_attrs e attrs;
-          put_varint e.buf (List.length children);
-          List.iter (put_tree e) children);
-      Ttbl.define e.trees t
+      let k = defs.next in
+      Keys.add defs.ids key k;
+      defs.next <- k + 1;
+      k
+
+(* [List.map] applies its function left to right, the order the decoder
+   reads the children in. *)
+let rec put_tree e t =
+  let start = Buffer.length e.buf and strings = e.n_strings in
+  put_varint e.buf 0;
+  let key =
+    match t with
+    | Tree.Text s ->
+        Buffer.add_char e.buf '\000';
+        put_string e s;
+        K_text s
+    | Tree.Element (name, attrs, children) ->
+        Buffer.add_char e.buf '\001';
+        put_string e name;
+        put_attrs e attrs;
+        put_varint e.buf (List.length children);
+        K_elem (name, attrs, List.map (put_tree e) children)
+  in
+  close e e.trees ~start ~strings key
 
 let rec put_node e (n : Pxml.node) =
-  match Ntbl.find e.nodes n with
-  | Some k -> put_varint e.buf (k + 1)
-  | None ->
-      put_varint e.buf 0;
-      (match n with
-      | Pxml.Text s ->
-          Buffer.add_char e.buf '\000';
-          put_string e s
-      | Pxml.Elem (tag, attrs, content) ->
-          Buffer.add_char e.buf '\001';
-          put_string e tag;
-          put_attrs e attrs;
-          put_varint e.buf (List.length content);
-          List.iter (put_dist e) content);
-      Ntbl.define e.nodes n
+  let start = Buffer.length e.buf and strings = e.n_strings in
+  put_varint e.buf 0;
+  let key =
+    match n with
+    | Pxml.Text s ->
+        Buffer.add_char e.buf '\000';
+        put_string e s;
+        K_text s
+    | Pxml.Elem (tag, attrs, content) ->
+        Buffer.add_char e.buf '\001';
+        put_string e tag;
+        put_attrs e attrs;
+        put_varint e.buf (List.length content);
+        K_elem (tag, attrs, List.map (put_dist e) content)
+  in
+  close e e.nodes ~start ~strings key
 
 and put_dist e (d : Pxml.dist) =
-  match Dstbl.find e.dists d with
-  | Some k -> put_varint e.buf (k + 1)
-  | None ->
-      put_varint e.buf 0;
-      put_varint e.buf (List.length d.choices);
-      List.iter
-        (fun (c : Pxml.choice) ->
-          put_float e.buf c.prob;
-          put_varint e.buf (List.length c.nodes);
-          List.iter (put_node e) c.nodes)
-        d.choices;
-      Dstbl.define e.dists d
+  let start = Buffer.length e.buf and strings = e.n_strings in
+  put_varint e.buf 0;
+  put_varint e.buf (List.length d.choices);
+  let key =
+    K_dist
+      (List.map
+         (fun (c : Pxml.choice) ->
+           put_float e.buf c.prob;
+           put_varint e.buf (List.length c.nodes);
+           (c.prob, List.map (put_node e) c.nodes))
+         d.choices)
+  in
+  close e e.dists ~start ~strings key
 
-let encoder () =
-  {
-    buf = Buffer.create 1024;
-    strings = Stbl.create ();
-    trees = Ttbl.create ();
-    nodes = Ntbl.create ();
-    dists = Dstbl.create ();
-  }
-
-let frame ~kind payload =
+let encode ~kind put v =
+  let defs () = { ids = Keys.create 64; next = 0 } in
+  let e =
+    {
+      buf = Buffer.create 1024;
+      strings = Values.create 64;
+      n_strings = 0;
+      defined = [];
+      trees = defs ();
+      nodes = defs ();
+      dists = defs ();
+    }
+  in
+  ignore (put e v : int);
+  let payload = Buffer.contents e.buf in
   let buf = Buffer.create (String.length payload + 16) in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
@@ -274,15 +359,9 @@ let frame ~kind payload =
   Buffer.add_string buf payload;
   Buffer.contents buf
 
-let tree_to_string t =
-  let e = encoder () in
-  put_tree e (Intern.tree t);
-  frame ~kind:0 (Buffer.contents e.buf)
+let tree_to_string t = encode ~kind:0 put_tree t
 
-let doc_to_string d =
-  let e = encoder () in
-  put_dist e (Intern.doc d);
-  frame ~kind:1 (Buffer.contents e.buf)
+let doc_to_string d = encode ~kind:1 put_dist d
 
 let to_string = function
   | Certain t -> tree_to_string t

@@ -15,9 +15,13 @@
     sharable production (string, XML node, probability node) is prefixed by
     a varint [k] — [k = 0] introduces a definition (body follows, appended
     post-order to that production's table), [k > 0] is a back-reference to
-    definition [k-1]. Encoding interns the document first ({!Intern.doc}),
-    so deep-equal subtrees are written once; decoding rebuilds the same
-    sharing physically. Probabilities travel as their IEEE-754 bits
+    definition [k-1]. Each encode hash-conses the document in tables of its
+    own (a node is keyed by its tag, attributes and its children's
+    definitions, probabilities by their bits), so deep-equal subtrees are
+    written once; strings are shared when they are the same allocation.
+    Encoding touches no global state ({!Intern}'s pools included) and
+    keeps nothing after it returns. Decoding rebuilds the same sharing
+    physically. Probabilities travel as their IEEE-754 bits
     (little-endian), so the round-trip is bit-exact — no text formatting is
     involved.
 
@@ -33,8 +37,8 @@ type payload = Certain of Tree.t | Probabilistic of Pxml.doc
 
 val version : int
 
-(** [to_string p] is the framed binary encoding of [p]. The input is
-    interned as a side effect. *)
+(** [to_string p] is the framed binary encoding of [p]: one pass over
+    [p]. *)
 val to_string : payload -> string
 
 val tree_to_string : Tree.t -> string
@@ -50,5 +54,6 @@ val of_string : string -> (payload, string) result
     dispatch between the XML and binary parsers. *)
 val is_binary : string -> bool
 
-(** CRC-32 (IEEE) of a string, exposed for tests. *)
+(** CRC-32 (IEEE, the zlib polynomial) of a string: the frame's payload
+    checksum, and the checksum of every store manifest entry. *)
 val crc32 : string -> int32

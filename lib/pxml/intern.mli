@@ -10,9 +10,7 @@
       fast-path on physical equality);
     - a full structural hash comes out of the same traversal
       ({!tree_hashed}), which is what {!Imprecise_oracle.Decision_cache}
-      keys are built from, once per verdict-grid row and column; and
-    - the binary codec ({!Bincodec}) writes each distinct subtree once,
-      emitting back-references for every other occurrence.
+      keys are built from, once per verdict-grid row and column.
 
     Pools are weak: the canonical representatives are pointed to only
     weakly, so interning never pins memory — a subtree dropped by every

@@ -7,40 +7,17 @@ type t = entry list
 let filename = "MANIFEST"
 
 (* Version 3 = version 2 entries, except files may be compact binary
-   ([.ipx]) as well as XML. The v3 header is only written when a binary
-   file is actually present, so pre-binary readers keep reading any store
-   they could have written. *)
-let header_v3 = "imprecise-manifest 3"
+   ([.ipx]) as well as XML. Saves write version 3; versions 1 and 2 are
+   still read. *)
+let header = "imprecise-manifest 3"
 
-let header = "imprecise-manifest 2"
+let header_v2 = "imprecise-manifest 2"
 
 (* version-1 manifests (no file field; documents lived at <name>.xml) are
    still readable *)
 let header_v1 = "imprecise-manifest 1"
 
-let binary_file file = Filename.check_suffix file ".ipx"
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl) in
-      crc := Int32.logxor table.(i) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
+let crc32 = Imprecise_pxml.Bincodec.crc32
 
 let kind_to_string = function Certain -> "certain" | Probabilistic -> "probabilistic"
 
@@ -56,8 +33,7 @@ let entry_line e =
 
 let to_string entries =
   let block = String.concat "" (List.map (fun e -> entry_line e ^ "\n") entries) in
-  let h = if List.exists (fun e -> binary_file e.file) entries then header_v3 else header in
-  Fmt.str "%s\n%send %d %08lx\n" h block (List.length entries) (crc32 block)
+  Fmt.str "%s\n%send %d %08lx\n" header block (List.length entries) (crc32 block)
 
 let parse_crc s = if String.length s = 8 then Int32.of_string_opt ("0x" ^ s) else None
 
@@ -80,7 +56,7 @@ let parse_entry ~v1 line =
 let of_string s =
   let ( let* ) = Result.bind in
   match String.split_on_char '\n' s with
-  | h :: rest when h = header || h = header_v1 || h = header_v3 ->
+  | h :: rest when h = header || h = header_v2 || h = header_v1 ->
       let v1 = h = header_v1 in
       let block = Buffer.create 256 in
       let rec go acc = function

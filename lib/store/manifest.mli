@@ -3,7 +3,7 @@
     A saved directory carries a [MANIFEST] file naming every live document
     with its kind, byte length, CRC-32 checksum, and the file that holds
     its bytes. Each save writes its documents under fresh
-    generation-stamped filenames ([<name>.g<N>.xml]) and the manifest is
+    generation-stamped filenames ([<name>.g<N>.ipx]) and the manifest is
     written last (tmp + fsync + rename), so its rename is the {e commit
     point} of a save: a load that finds it trusts exactly the files it
     lists, a crash before it leaves the previous manifest — and therefore
@@ -12,19 +12,18 @@
 
     The format is line-based and self-checking:
     {v
-    imprecise-manifest 2
+    imprecise-manifest 3
     <name> certain|probabilistic <length> <crc32-hex> <file>
     ...
     end <entry-count> <crc32-hex of the entry block>
     v}
-    Version-1 manifests (four fields, documents at [<name>.xml]) are still
-    readable. Version 3 has the same entry syntax but its files may be
-    compact binary ([.ipx], see {!Imprecise_pxml.Bincodec}) as well as XML;
-    {!to_string} only emits the version-3 header when a binary file is
-    actually listed, so stores without binary documents stay readable by
-    pre-binary builds. A torn write cannot pass for a complete manifest:
-    truncation loses the [end] line or breaks its count/checksum, and
-    {!of_string} rejects it. *)
+    The checksums are {!Imprecise_pxml.Bincodec.crc32}. {!to_string}
+    always writes the version-3 header. Version-2 manifests (same entries,
+    written by earlier versions for stores of XML files) and version-1
+    manifests (four fields, documents at [<name>.xml]) are still readable.
+    A torn write cannot pass for a complete manifest: truncation loses the
+    [end] line or breaks its count/checksum, and {!of_string} rejects
+    it. *)
 
 type kind = Certain | Probabilistic
 
@@ -32,11 +31,9 @@ type entry = { name : string; kind : kind; length : int; crc : int32; file : str
 
 type t = entry list
 
-(** ["MANIFEST"] — reserved; never a document name (names end in [.xml]). *)
+(** ["MANIFEST"] — reserved; never a document file (those end in [.ipx]
+    or [.xml]). *)
 val filename : string
-
-(** CRC-32 (the IEEE/zlib polynomial) of a string. *)
-val crc32 : string -> int32
 
 val to_string : t -> string
 

@@ -90,24 +90,20 @@ let names t =
 
 let size t = Hashtbl.length t.tbl
 
-let doc_to_tree = function
-  | Certain tree -> tree
-  | Probabilistic doc -> Codec.encode doc
-
 let kind_of_doc = function
   | Certain _ -> Manifest.Certain
   | Probabilistic _ -> Manifest.Probabilistic
 
 (* ---- on-disk naming --------------------------------------------------- *)
 
-type format = Xml | Binary
-
-let xml_suffix = ".xml"
-
-(* compact binary documents (store format v3, Bincodec frames) *)
+(* compact binary documents (Bincodec frames), the only format saves write *)
 let ipx_suffix = ".ipx"
 
-let doc_suffixes = [ xml_suffix; ipx_suffix ]
+(* text XML, written by earlier versions; still loaded, and cleaned up once
+   a save supersedes it *)
+let xml_suffix = ".xml"
+
+let doc_suffixes = [ ipx_suffix; xml_suffix ]
 
 let doc_suffix_of file = List.find_opt (Filename.check_suffix file) doc_suffixes
 
@@ -116,16 +112,13 @@ let tmp_suffix = ".tmp"
 let corrupt_suffix = ".corrupt"
 
 (* Committed document files carry the generation of the save that wrote
-   them: [<name>.g<N>.xml] (or [.ipx] for binary). A save stages under
-   filenames no previous commit references, so committed files are never
-   renamed or overwritten; the manifest rename flips the store from one
-   generation's files to the next, and only then are superseded files
-   deleted. *)
-let gen_filename name ~gen ~format =
-  let suffix = match format with Xml -> xml_suffix | Binary -> ipx_suffix in
-  Fmt.str "%s.g%d%s" name gen suffix
+   them: [<name>.g<N>.ipx]. A save stages under filenames no previous
+   commit references, so committed files are never renamed or
+   overwritten; the manifest rename flips the store from one generation's
+   files to the next, and only then are superseded files deleted. *)
+let gen_filename name ~gen = Fmt.str "%s.g%d%s" name gen ipx_suffix
 
-(* [split_gen "alpha.g12.xml"] is [Some ("alpha", 12)]; same for [.ipx]. *)
+(* [split_gen "alpha.g12.ipx"] is [Some ("alpha", 12)]; same for [.xml]. *)
 let split_gen file =
   match doc_suffix_of file with
   | None -> None
@@ -155,17 +148,14 @@ let doc_name_of_file file =
       | Some suffix -> Filename.chop_suffix file suffix
       | None -> file)
 
-let serialize ~format doc =
-  match format with
-  | Xml -> Xml.Printer.to_string ~decl:true ~indent:2 (doc_to_tree doc) ^ "\n"
-  | Binary ->
-      let data =
-        match doc with
-        | Certain tree -> Bincodec.tree_to_string tree
-        | Probabilistic d -> Bincodec.doc_to_string d
-      in
-      Obs.Metrics.incr ~by:(String.length data) c_binary_bytes;
-      data
+let serialize doc =
+  let data =
+    match doc with
+    | Certain tree -> Bincodec.tree_to_string tree
+    | Probabilistic d -> Bincodec.doc_to_string d
+  in
+  Obs.Metrics.incr ~by:(String.length data) c_binary_bytes;
+  data
 
 (* ---- retry ------------------------------------------------------------- *)
 
@@ -185,7 +175,7 @@ let with_retry ?retry ?sleep f =
 
 (* ---- save ------------------------------------------------------------- *)
 
-let save_attempt io t ~dir ~format =
+let save_attempt io t ~dir =
     if not (Io.exists io dir) then Io.mkdir io dir;
     let mpath = Filename.concat dir Manifest.filename in
     (* the previous commit, when readable: exactly the document files this
@@ -213,8 +203,8 @@ let save_attempt io t ~dir ~format =
       List.map
         (fun name ->
           let doc = Hashtbl.find t.tbl name in
-          let data = serialize ~format doc in
-          let file = gen_filename name ~gen ~format in
+          let data = serialize doc in
+          let file = gen_filename name ~gen in
           let final = Filename.concat dir file in
           let tmp = final ^ tmp_suffix in
           Io.write_file io tmp data;
@@ -224,7 +214,7 @@ let save_attempt io t ~dir ~format =
             Manifest.name;
             kind = kind_of_doc doc;
             length = String.length data;
-            crc = Manifest.crc32 data;
+            crc = Bincodec.crc32 data;
             file;
           })
         (names t)
@@ -259,11 +249,11 @@ let save_attempt io t ~dir ~format =
               Io.delete io (Filename.concat dir file))
           (Io.list_dir io dir))
 
-let save ?(io = Io.real) ?retry ?sleep ?(format = Xml) t ~dir =
+let save ?(io = Io.real) ?retry ?sleep t ~dir =
   let io = Io.metered io in
   Obs.Metrics.incr c_saves;
   Obs.Trace.op "store.save" ~detail:dir @@ fun () ->
-  match with_retry ?retry ?sleep (fun () -> save_attempt io t ~dir ~format) with
+  match with_retry ?retry ?sleep (fun () -> save_attempt io t ~dir) with
   | () -> Ok ()
   | exception Sys_error msg ->
       Obs.Trace.outcome ("error:" ^ msg);
@@ -400,7 +390,7 @@ let load_attempt io ~mode ~quarantine dir =
             else
               let data = Io.read_file io path in
               let verdict =
-                if String.length data <> e.length || Manifest.crc32 data <> e.crc then
+                if String.length data <> e.length || Bincodec.crc32 data <> e.crc then
                   Error
                     "checksum mismatch against manifest (torn write, or data from an \
                      interrupted later save)"
@@ -432,7 +422,7 @@ let load_attempt io ~mode ~quarantine dir =
           doc_files
     | None ->
         (* no manifest: a legacy or uncommitted directory; take every
-           well-formed <valid-name>.xml at face value *)
+           well-formed <valid-name>.ipx or .xml at face value *)
         List.iter
           (fun file ->
             let path = Filename.concat dir file in

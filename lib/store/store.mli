@@ -3,9 +3,8 @@
     IMPrECISE in the paper is an XQuery module layered on an XML DBMS whose
     only obligations are to hold XML documents and evaluate queries over
     them (Fig. 4). This store provides the document-management half: named
-    collections of certain and probabilistic documents, persisted as plain
-    XML files (probabilistic documents via the {!Imprecise_pxml.Codec}
-    encoding, recognised on load by their [p:prob] root). The query half is
+    collections of certain and probabilistic documents, persisted as
+    compact binary frames ({!Imprecise_pxml.Bincodec}). The query half is
     {!Imprecise_xpath} / {!Imprecise_pquery}, which operate on the values
     this store returns.
 
@@ -62,17 +61,16 @@ val size : t -> int
 
 (** {1 Persistence}
 
-    One file per document, [<name>.g<N>.xml] (or [<name>.g<N>.ipx] for the
-    compact binary format) where [N] is the generation of the save that
-    wrote it, plus a [MANIFEST], in a directory.
+    One file per document, [<name>.g<N>.ipx] where [N] is the generation
+    of the save that wrote it, plus a [MANIFEST], in a directory. Each file
+    is one {!Imprecise_pxml.Bincodec} frame: length-prefixed,
+    CRC-32-checksummed, with deep-equal subtrees stored once.
 
-    The on-disk serialization of each document is chosen by {!format}:
-    text XML (readable by every earlier version) or the compact binary
-    codec (smaller, faster to load, checksummed per document). Loads
-    auto-detect the format of each file from its first bytes, whatever
-    the manifest version says. *)
-
-type format = Xml | Binary
+    Directories written by earlier versions still load: loads detect the
+    format of each file from its first bytes, so text XML documents
+    ([<name>.g<N>.xml], or [<name>.xml] without a manifest) and version
+    1–3 manifests read as before, and the next save rewrites their
+    documents as [.ipx]. *)
 
 (** [save] is atomic per document {e and} per collection: each file is
     written to a fresh generation-stamped name via tmp + fsync + rename,
@@ -83,10 +81,10 @@ type format = Xml | Binary
     point (crash, power loss, full disk) leaves every file of the previous
     commit intact and the previous manifest in force. Only after the
     commit are superseded files deleted — the previous manifest's files,
-    older-generation documents, and leftover staging files — so removed
-    documents stay removed. [<base>.g<N>.xml], [<base>.g<N>.ipx],
-    [*.xml.tmp], [*.ipx.tmp] and [MANIFEST] names are owned by the store;
-    foreign files are never deleted.
+    older-generation documents (legacy [.xml] ones included), and leftover
+    staging files — so removed documents stay removed. [<base>.g<N>.ipx],
+    [<base>.g<N>.xml], [*.ipx.tmp], [*.xml.tmp] and [MANIFEST] names are
+    owned by the store; foreign files are never deleted.
 
     [retry] re-runs a failed save under the given
     {!Imprecise_resilience.Retry.policy} (default: one attempt, as
@@ -98,21 +96,11 @@ type format = Xml | Binary
     invisible to the next one and swept by its cleanup. [sleep] overrides
     the backoff sleep (seconds; tests pass [ignore]). Counters
     [resilience.retries] / [resilience.retry_giveups] record the
-    outcome.
-
-    [format] picks the serialization: [Xml] (default — plain text, the
-    format every earlier version reads) or [Binary] — the compact v3
-    format ({!Imprecise_pxml.Bincodec} frames, one per document, each
-    length-prefixed and CRC-32-checksummed, with deep-equal subtrees
-    stored once). A manifest listing any binary file carries the
-    version-3 header. Loading auto-detects per file by magic, so a
-    directory may mix formats and [doctor --migrate] is just
-    load + save [~format:Binary]. *)
+    outcome. *)
 val save :
   ?io:Io.t ->
   ?retry:Imprecise_resilience.Retry.policy ->
   ?sleep:(float -> unit) ->
-  ?format:format ->
   t ->
   dir:string ->
   (unit, string) result
@@ -152,7 +140,7 @@ val pp_report : Format.formatter -> report -> unit
 (** [load dir] reads a saved directory back. With a manifest, exactly the
     listed documents are candidates and each is verified against its length
     and checksum — a document whose bytes do not match its manifest entry
-    is never returned. Without one, every [<valid-name>.xml] or [.ipx]
+    is never returned. Without one, every [<valid-name>.ipx] or [.xml]
     that parses is accepted (legacy layout; a [.g<N>] generation tag is
     stripped from the name). [Error] is reserved for the directory being unreadable — or,
     under [Strict], for any damage at all.

@@ -5,12 +5,17 @@
      decode BIT-identically — probabilities compared by their IEEE-754
      bits, not an epsilon — interned or not, plus the XML attribute codec
      round-trip on hostile floats (0.1 +. 0.2, subnormals, 1e-300).
+   - The encoder hash-conses each document locally; its frames must equal,
+     byte for byte, those of the reference below (intern the document in
+     the global pools, then encode), and it must not touch the pools.
+   - CRC-32 gives the IEEE check value and agrees with the reference's.
    - Corruption is detected, never crashes: every truncation of a frame
      and every single-bit flip in a payload decodes to [Error]; a store
      load over a corrupted binary file quarantines it.
-   - Legacy XML stores load unchanged next to binary ones, and a store
-     migrated to binary reloads with the same documents and the same
-     ranked answers on the paper's pinned queries (§VI Q1/Q2, Figure 2).
+   - Saves write only .ipx files under a version-3 manifest; a legacy
+     store of XML files under a version-2 manifest loads, and a save
+     migrates it with the same documents and the same ranked answers on
+     the paper's pinned queries (§VI Q1/Q2, Figure 2).
 
    Runs under `dune runtest` and alone via `dune build @codec-stress`;
    case count is overridable through CODEC_CASES. *)
@@ -28,6 +33,7 @@ module Prng = Imprecise.Data.Prng
 module Random_docs = Imprecise.Data.Random_docs
 module Addressbook = Imprecise.Data.Addressbook
 module Workloads = Imprecise.Data.Workloads
+module Obs = Imprecise.Obs
 
 let cases =
   match Sys.getenv_opt "CODEC_CASES" with
@@ -58,32 +64,308 @@ and exact_choice (a : Pxml.choice) (b : Pxml.choice) =
   Int64.bits_of_float a.prob = Int64.bits_of_float b.prob
   && List.equal exact_node a.nodes b.nodes
 
+(* ---- the reference encoder ---------------------------------------------
+
+   The encoder as it was before it hash-consed locally: intern the document
+   in Intern's global pools, then write it with == tables, so a repeated
+   subtree is the same pointer and becomes a back-reference. Its CRC-32 is
+   the boxed Int32 loop the store used to carry twice. *)
+
+module Reference = struct
+  let crc32 s =
+    let table =
+      Array.init 256 (fun n ->
+          let c = ref (Int32.of_int n) in
+          for _ = 0 to 7 do
+            c :=
+              if Int32.logand !c 1l <> 0l then
+                Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+              else Int32.shift_right_logical !c 1
+          done;
+          !c)
+    in
+    let crc = ref 0xFFFFFFFFl in
+    String.iter
+      (fun ch ->
+        let i =
+          Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
+        in
+        crc := Int32.logxor table.(i) (Int32.shift_right_logical !crc 8))
+      s;
+    Int32.logxor !crc 0xFFFFFFFFl
+
+  let put_varint buf n =
+    let rec go n =
+      if n < 0x80 then Buffer.add_char buf (Char.chr n)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+    in
+    go n
+
+  let put_u32le buf (v : int32) =
+    for i = 0 to 3 do
+      Buffer.add_char buf
+        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * i)) 0xFFl)))
+    done
+
+  let put_float buf f =
+    let bits = Int64.bits_of_float f in
+    for i = 0 to 7 do
+      Buffer.add_char buf
+        (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
+    done
+
+  module Etbl (T : sig
+    type t
+  end) =
+  struct
+    module H = Hashtbl.Make (struct
+      type t = T.t
+
+      let equal = ( == )
+
+      let hash = Hashtbl.hash
+    end)
+
+    type t = { tbl : int H.t; mutable next : int }
+
+    let create () = { tbl = H.create 64; next = 0 }
+
+    let find t v = H.find_opt t.tbl v
+
+    let define t v =
+      H.replace t.tbl v t.next;
+      t.next <- t.next + 1
+  end
+
+  module Stbl = Etbl (struct
+    type t = string
+  end)
+
+  module Ttbl = Etbl (struct
+    type t = Tree.t
+  end)
+
+  module Ntbl = Etbl (struct
+    type t = Pxml.node
+  end)
+
+  module Dstbl = Etbl (struct
+    type t = Pxml.dist
+  end)
+
+  type encoder = {
+    buf : Buffer.t;
+    strings : Stbl.t;
+    trees : Ttbl.t;
+    nodes : Ntbl.t;
+    dists : Dstbl.t;
+  }
+
+  let put_string e s =
+    match Stbl.find e.strings s with
+    | Some k -> put_varint e.buf (k + 1)
+    | None ->
+        put_varint e.buf 0;
+        put_varint e.buf (String.length s);
+        Buffer.add_string e.buf s;
+        Stbl.define e.strings s
+
+  let put_attrs e attrs =
+    put_varint e.buf (List.length attrs);
+    List.iter
+      (fun (k, v) ->
+        put_string e k;
+        put_string e v)
+      attrs
+
+  let rec put_tree e t =
+    match Ttbl.find e.trees t with
+    | Some k -> put_varint e.buf (k + 1)
+    | None ->
+        put_varint e.buf 0;
+        (match t with
+        | Tree.Text s ->
+            Buffer.add_char e.buf '\000';
+            put_string e s
+        | Tree.Element (name, attrs, children) ->
+            Buffer.add_char e.buf '\001';
+            put_string e name;
+            put_attrs e attrs;
+            put_varint e.buf (List.length children);
+            List.iter (put_tree e) children);
+        Ttbl.define e.trees t
+
+  let rec put_node e (n : Pxml.node) =
+    match Ntbl.find e.nodes n with
+    | Some k -> put_varint e.buf (k + 1)
+    | None ->
+        put_varint e.buf 0;
+        (match n with
+        | Pxml.Text s ->
+            Buffer.add_char e.buf '\000';
+            put_string e s
+        | Pxml.Elem (tag, attrs, content) ->
+            Buffer.add_char e.buf '\001';
+            put_string e tag;
+            put_attrs e attrs;
+            put_varint e.buf (List.length content);
+            List.iter (put_dist e) content);
+        Ntbl.define e.nodes n
+
+  and put_dist e (d : Pxml.dist) =
+    match Dstbl.find e.dists d with
+    | Some k -> put_varint e.buf (k + 1)
+    | None ->
+        put_varint e.buf 0;
+        put_varint e.buf (List.length d.choices);
+        List.iter
+          (fun (c : Pxml.choice) ->
+            put_float e.buf c.prob;
+            put_varint e.buf (List.length c.nodes);
+            List.iter (put_node e) c.nodes)
+          d.choices;
+        Dstbl.define e.dists d
+
+  let encoder () =
+    {
+      buf = Buffer.create 1024;
+      strings = Stbl.create ();
+      trees = Ttbl.create ();
+      nodes = Ntbl.create ();
+      dists = Dstbl.create ();
+    }
+
+  let frame ~kind payload =
+    let buf = Buffer.create (String.length payload + 16) in
+    Buffer.add_string buf "IPXB";
+    Buffer.add_char buf (Char.chr 1);
+    Buffer.add_char buf (Char.chr kind);
+    put_varint buf (String.length payload);
+    put_u32le buf (crc32 payload);
+    Buffer.add_string buf payload;
+    Buffer.contents buf
+
+  let tree_to_string t =
+    let e = encoder () in
+    put_tree e (Intern.tree t);
+    frame ~kind:0 (Buffer.contents e.buf)
+
+  let doc_to_string d =
+    let e = encoder () in
+    put_dist e (Intern.doc d);
+    frame ~kind:1 (Buffer.contents e.buf)
+end
+
+let intern_hit = Obs.Metrics.counter "pxml.intern.hit"
+
+let intern_miss = Obs.Metrics.counter "pxml.intern.miss"
+
+(* [encode seed what f x] is [f x], failing the case if [f] moved the
+   global intern pools' counters. *)
+let encode seed what f x =
+  let h0 = Obs.Metrics.count intern_hit and m0 = Obs.Metrics.count intern_miss in
+  let frame = f x in
+  if Obs.Metrics.count intern_hit <> h0 || Obs.Metrics.count intern_miss <> m0 then
+    fail seed "%s touched the intern pools" what;
+  frame
+
+let same_frame seed what ~reference frame =
+  if not (String.equal reference frame) then
+    fail seed "%s: frame differs from the reference encoder's (%d vs %d bytes)" what
+      (String.length frame) (String.length reference)
+
 (* ---- random round-trips ------------------------------------------------ *)
+
+(* [check_doc seed what doc] encodes [doc], requires the reference's bytes
+   and a bit-exact decode, and returns the frame. *)
+let check_doc seed what doc =
+  let frame = encode seed "doc_to_string" Bincodec.doc_to_string doc in
+  same_frame seed what ~reference:(Reference.doc_to_string doc) frame;
+  (match Bincodec.of_string frame with
+  | Ok (Bincodec.Probabilistic d) ->
+      if not (exact_dist doc d) then fail seed "%s: binary round-trip changed it" what
+  | Ok (Bincodec.Certain _) -> fail seed "%s: decoded as certain" what
+  | Error e -> fail seed "%s: binary round-trip failed: %s" what e);
+  frame
+
+let check_tree seed what tree =
+  let frame = encode seed "tree_to_string" Bincodec.tree_to_string tree in
+  same_frame seed what ~reference:(Reference.tree_to_string tree) frame;
+  match Bincodec.of_string frame with
+  | Ok (Bincodec.Certain t) ->
+      if not (Tree.equal tree t) then fail seed "%s: tree round-trip changed it" what
+  | Ok (Bincodec.Probabilistic _) -> fail seed "%s: decoded as probabilistic" what
+  | Error e -> fail seed "%s: tree round-trip failed: %s" what e
+
+(* A deep copy whose every string is a fresh allocation is a duplicate the
+   string probe misses: the encoder writes its body, defining those
+   strings, before the cut takes them back. [tail] then defines one more
+   string and refers back to it, so an id the cut left behind would
+   show. *)
+let fresh s = Bytes.to_string (Bytes.of_string s)
+
+let fresh_attrs = List.map (fun (k, v) -> (fresh k, fresh v))
+
+let rec fresh_tree = function
+  | Tree.Text s -> Tree.Text (fresh s)
+  | Tree.Element (n, attrs, children) ->
+      Tree.Element (fresh n, fresh_attrs attrs, List.map fresh_tree children)
+
+let rec fresh_node = function
+  | Pxml.Text s -> Pxml.Text (fresh s)
+  | Pxml.Elem (tag, attrs, content) -> Pxml.Elem (fresh tag, fresh_attrs attrs, List.map fresh_dist content)
+
+and fresh_dist (d : Pxml.dist) =
+  {
+    Pxml.choices =
+      List.map (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map fresh_node c.nodes }) d.choices;
+  }
 
 let check_roundtrip seed =
   let doc = fst (Random_docs.pxml (Prng.make seed) ~depth:(2 + (seed mod 2))) in
-  (match Bincodec.of_string (Bincodec.doc_to_string doc) with
-  | Ok (Bincodec.Probabilistic d) ->
-      if not (exact_dist doc d) then fail seed "binary round-trip changed the document"
-  | Ok (Bincodec.Certain _) -> fail seed "probabilistic doc decoded as certain"
-  | Error e -> fail seed "binary round-trip failed: %s" e);
-  (* interning is transparent: the interned doc encodes to the same
-     document (and usually fewer bytes, via back-references) *)
+  let frame = check_doc seed "document" doc in
+  (* interning is transparent: the interned doc encodes to the same bytes *)
   let interned = Intern.doc doc in
   if not (exact_dist doc interned) then fail seed "interning changed the document";
-  (match Bincodec.of_string (Bincodec.doc_to_string interned) with
-  | Ok (Bincodec.Probabilistic d) ->
-      if not (exact_dist doc d) then fail seed "interned round-trip changed the document"
-  | Ok (Bincodec.Certain _) | Error _ -> fail seed "interned round-trip failed");
+  same_frame seed "interned document" ~reference:frame
+    (encode seed "doc_to_string" Bincodec.doc_to_string interned);
   if Intern.distinct_nodes interned > Intern.distinct_nodes doc then
     fail seed "interning increased the number of distinct nodes";
+  let tail =
+    let s = fresh "tail" in
+    Pxml.Elem ("t", [ ("k", s) ], [ Pxml.certain [ Pxml.Text s ] ])
+  in
+  ignore
+    (check_doc seed "document, fresh copy, tail"
+       (Pxml.certain [ Pxml.elem "pair" [ doc; fresh_dist doc; Pxml.certain [ tail ] ] ]));
   (* certain trees use the same frame *)
   let tree = fst (Random_docs.xml (Prng.make (seed + 7919)) ~depth:2) in
-  match Bincodec.of_string (Bincodec.tree_to_string tree) with
-  | Ok (Bincodec.Certain t) ->
-      if not (Tree.equal tree t) then fail seed "tree round-trip changed the tree"
-  | Ok (Bincodec.Probabilistic _) -> fail seed "certain tree decoded as probabilistic"
-  | Error e -> fail seed "tree round-trip failed: %s" e
+  check_tree seed "tree" tree;
+  let tail =
+    let s = fresh "tail" in
+    Tree.Element ("t", [ ("k", s) ], [ Tree.Text s ])
+  in
+  check_tree seed "tree, fresh copy, tail" (Tree.Element ("pair", [], [ tree; fresh_tree tree; tail ]))
+
+(* ---- CRC-32 ------------------------------------------------------------ *)
+
+let check_crc () =
+  (* the IEEE check value *)
+  if Bincodec.crc32 "123456789" <> 0xCBF43926l then
+    fail 0 "crc32 \"123456789\" = %08lx, want cbf43926" (Bincodec.crc32 "123456789");
+  if Bincodec.crc32 "" <> 0l then fail 0 "crc32 of the empty string is not 0";
+  (* and the reference's value on every byte and on longer random strings *)
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun s ->
+      if Bincodec.crc32 s <> Reference.crc32 s then
+        fail 0 "crc32 differs from the reference on a %d-byte string" (String.length s))
+    (List.init 256 (fun i -> String.make 1 (Char.chr i))
+    @ List.init 50 (fun n ->
+          String.init (n * 37) (fun _ -> Char.chr (Random.State.int rng 256))))
 
 (* ---- the XML attribute codec on hostile floats ------------------------- *)
 
@@ -218,11 +500,42 @@ let pinned_docs () =
       ] );
   ]
 
+(* A store as earlier versions wrote it: one indented XML file per
+   document, [<name>.g1.xml], committed by a version-2 manifest. *)
+let write_legacy_store dir docs =
+  Sys.mkdir dir 0o755;
+  let write file data =
+    Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+        Out_channel.output_string oc data)
+  in
+  let entries =
+    List.map
+      (fun (name, doc) ->
+        let tree, kind =
+          match doc with
+          | Store.Certain t -> (t, "certain")
+          | Store.Probabilistic d -> (Codec.encode d, "probabilistic")
+        in
+        let data = Imprecise.Xml.Printer.to_string ~decl:true ~indent:2 tree ^ "\n" in
+        let file = name ^ ".g1.xml" in
+        write file data;
+        Fmt.str "%s %s %d %08lx %s\n" name kind (String.length data) (Reference.crc32 data) file)
+      docs
+  in
+  let block = String.concat "" entries in
+  write "MANIFEST"
+    (Fmt.str "imprecise-manifest 2\n%send %d %08lx\n" block (List.length docs)
+       (Reference.crc32 block))
+
+let files_with suffix dir =
+  List.filter (fun f -> Filename.check_suffix f suffix) (Array.to_list (Sys.readdir dir))
+
 let check_stores () =
   let docs = pinned_docs () in
+  let certain = Tree.element "root" [ Tree.leaf "k" "v" ] in
   let store = Store.create () in
   List.iter (fun (name, doc, _) -> Store.put store name (Store.Probabilistic doc)) docs;
-  Store.put store "certain" (Store.Certain (Tree.element "root" [ Tree.leaf "k" "v" ]));
+  Store.put store "certain" (Store.Certain certain);
   let pins =
     List.concat_map (fun (name, doc, qs) -> List.map (fun q -> (name, q, rank_sig doc q)) qs) docs
   in
@@ -238,29 +551,22 @@ let check_stores () =
                 (String.concat "; " got))
       pins;
     match Store.get_certain loaded "certain" with
-    | Some t when Tree.equal t (Tree.element "root" [ Tree.leaf "k" "v" ]) -> ()
+    | Some t when Tree.equal t certain -> ()
     | _ -> fail 0 "%s: certain document damaged" label
   in
-  (* legacy XML save/load still works, byte format unchanged *)
+  (* a save writes one .ipx per document under a version-3 manifest:
+     same documents, same answers *)
   with_tmp_dir (fun dir ->
-      (match Store.save store ~dir with Ok () -> () | Error e -> fail 0 "xml save: %s" e);
-      let has_binary_file =
-        Array.exists (fun f -> Filename.check_suffix f ".ipx") (Sys.readdir dir)
-      in
-      if has_binary_file then fail 0 "default save wrote a binary file";
-      match Store.load dir with
-      | Ok (loaded, report) ->
-          if not (Store.recovered_all report) then fail 0 "xml load not clean";
-          check_loaded "xml" loaded
-      | Error e -> fail 0 "xml load: %s" e);
-  (* binary v3 save/load: same documents, same answers, smaller files *)
-  with_tmp_dir (fun dir ->
-      (match Store.save ~format:Store.Binary store ~dir with
-      | Ok () -> ()
-      | Error e -> fail 0 "binary save: %s" e);
-      let files = Sys.readdir dir in
-      if not (Array.exists (fun f -> Filename.check_suffix f ".ipx") files) then
-        fail 0 "binary save wrote no .ipx files";
+      (match Store.save store ~dir with Ok () -> () | Error e -> fail 0 "save: %s" e);
+      let ipx = files_with ".ipx" dir in
+      if List.length ipx <> Store.size store then
+        fail 0 "save wrote %d .ipx files for %d documents" (List.length ipx) (Store.size store);
+      if List.sort String.compare (Array.to_list (Sys.readdir dir))
+         <> List.sort String.compare ("MANIFEST" :: ipx)
+      then fail 0 "save wrote files other than .ipx documents and the manifest";
+      (match In_channel.with_open_bin (Filename.concat dir "MANIFEST") In_channel.input_line with
+      | Some "imprecise-manifest 3" -> ()
+      | _ -> fail 0 "manifest does not carry the version-3 header");
       (match Store.load dir with
       | Ok (loaded, report) ->
           if not (Store.recovered_all report) then fail 0 "binary load not clean";
@@ -269,10 +575,7 @@ let check_stores () =
       | Error e -> fail 0 "binary load: %s" e);
       (* corrupt one binary payload byte: the load must quarantine exactly
          that document and recover the rest *)
-      let victim =
-        Array.to_list files |> List.filter (fun f -> Filename.check_suffix f ".ipx")
-        |> List.sort String.compare |> List.hd
-      in
+      let victim = List.hd (List.sort String.compare ipx) in
       let path = Filename.concat dir victim in
       let data = In_channel.with_open_bin path In_channel.input_all in
       let b = Bytes.of_string data in
@@ -291,18 +594,24 @@ let check_stores () =
             fail 0 "corrupted binary store: expected 1 quarantined doc, got %d"
               (List.length bad)
       | Error e -> fail 0 "corrupted binary store refused to load: %s" e);
-  (* migration: an XML store re-saved as binary keeps everything *)
+  (* migration: a legacy XML store loads with the same answers, and a save
+     rewrites it as .ipx with the same answers *)
   with_tmp_dir (fun dir ->
-      (match Store.save store ~dir with Ok () -> () | Error e -> fail 0 "save: %s" e);
+      write_legacy_store dir
+        (("certain", Store.Certain certain)
+        :: List.map (fun (name, doc, _) -> (name, Store.Probabilistic doc)) docs);
       (match Store.load dir with
-      | Ok (loaded, _) -> (
-          match Store.save ~format:Store.Binary loaded ~dir with
+      | Ok (loaded, report) -> (
+          if not (Store.recovered_all report && report.Store.manifest = `Ok) then
+            fail 0 "legacy XML store not clean";
+          check_loaded "legacy xml" loaded;
+          match Store.save loaded ~dir with
           | Ok () -> ()
           | Error e -> fail 0 "migrate save: %s" e)
-      | Error e -> fail 0 "migrate load: %s" e);
-      let files = Sys.readdir dir in
-      if Array.exists (fun f -> Filename.check_suffix f ".xml") files then
-        fail 0 "migration left XML document files behind";
+      | Error e -> fail 0 "legacy load: %s" e);
+      if files_with ".xml" dir <> [] then fail 0 "migration left XML document files behind";
+      if List.length (files_with ".ipx" dir) <> Store.size store then
+        fail 0 "migration did not write one .ipx per document";
       match Store.load dir with
       | Ok (loaded, report) ->
           if not (Store.recovered_all report && report.Store.manifest = `Ok) then
@@ -340,10 +649,11 @@ let () =
     check_corruption (1000 + i)
   done;
   check_float_attr ();
+  check_crc ();
   check_stores ();
   check_compression ();
   Fmt.pr
-    "codec-stress: %d round-trip cases, 20 corruption cases, %d hostile floats, 3 store \
+    "codec-stress: %d round-trip cases, 20 corruption cases, %d hostile floats, 2 store \
      scenarios, %d failures@."
     cases
     (List.length hostile_probs * 2)

@@ -81,10 +81,10 @@ let make_v1 () =
   List.iter (fun (n, d) -> Store.put s n d) v1_docs;
   s
 
-(* Committed files are generation-stamped: alpha.g3.xml holds document
+(* Committed files are generation-stamped: alpha.g3.ipx holds document
    "alpha". *)
 let doc_of_path path =
-  let base = Filename.chop_suffix (Filename.basename path) ".xml" in
+  let base = Filename.chop_suffix (Filename.basename path) ".ipx" in
   match String.rindex_opt base '.' with
   | Some i when i + 1 < String.length base && base.[i + 1] = 'g' -> String.sub base 0 i
   | _ -> base
@@ -112,6 +112,10 @@ let test_fresh_save_matrix () =
   let total = count_ops (fun io -> Store.save ~io (make_v1 ()) ~dir:(fresh_dir ())) in
   (* mkdir + 3 ops per document + 3 for the manifest + 2 directory syncs *)
   check Alcotest.int "matrix size" (1 + (3 * List.length v1_docs) + 3 + 2) total;
+  (* the most document renames any fault point let through: the observer
+     must see every document's rename, or "recovered = renamed" proves
+     nothing *)
+  let most_renamed = ref 0 in
   List.iter
     (fun mode ->
       for fail_at = 1 to total do
@@ -122,13 +126,14 @@ let test_fresh_save_matrix () =
         let io =
           Io.observe
             (fun op path ->
-              if op = Io.Rename && Filename.check_suffix path ".xml" then
+              if op = Io.Rename && Filename.check_suffix path ".ipx" then
                 renamed := doc_of_path path :: !renamed)
             (Io.faulty ~mode ~fail_at Io.real)
         in
         (match Store.save ~io (make_v1 ()) ~dir with
         | Error _ -> ()
         | Ok () -> Alcotest.fail (label "save survived its injected fault"));
+        most_renamed := max !most_renamed (List.length !renamed);
         if not (Sys.file_exists dir) then
           (* the fault hit mkdir: nothing was ever written *)
           check Alcotest.(list string) (label "nothing written") [] !renamed
@@ -168,7 +173,8 @@ let test_fresh_save_matrix () =
                 check Alcotest.int (label "second load stable") (Store.size s) (Store.size s2);
                 check Alcotest.bool (label "second load clean") true (Store.recovered_all r2))
       done)
-    modes
+    modes;
+  check Alcotest.int "every document rename observed" (List.length v1_docs) !most_renamed
 
 (* --- overwriting save on a committed directory -------------------------- *)
 
@@ -273,7 +279,7 @@ let test_truncated_committed_file_is_caught () =
   (match Store.save (make_v1 ()) ~dir with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "save failed: %s" msg);
-  let path = Filename.concat dir "alpha.g1.xml" in
+  let path = Filename.concat dir "alpha.g1.ipx" in
   let full = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub full 0 (String.length full / 2)));

@@ -252,6 +252,21 @@ let test_mixed_content_rejected () =
   | Ok _ -> Alcotest.fail "mixed content accepted"
   | Error e -> Alcotest.failf "wrong error: %a" Integrate.pp_error e
 
+(* Adjacent text children are one text, as [Tree.canonical] merges them:
+   "x" and "y" read "xy", never "x y". *)
+let test_adjacent_text_is_canonical () =
+  let cfg = Integrate.config ~oracle:oracle_05 () in
+  let a = Tree.Element ("r", [], [ Tree.Element ("v", [], [ Tree.Text "x"; Tree.Text "y" ]) ]) in
+  let b = parse "<r><v>xy</v></r>" in
+  match (Integrate.integrate cfg a b, Integrate.integrate cfg (Tree.canonical a) b) with
+  | Ok doc, Ok doc_canonical ->
+      check Alcotest.bool "same document as the canonical source's" true
+        (Pxml.equal doc doc_canonical);
+      (match Worlds.merged doc with
+      | [ (_, [ w ]) ] -> check Alcotest.string "one world, text concatenated" "xy" (Tree.text_content w)
+      | ws -> Alcotest.failf "expected one world, got %d" (List.length ws))
+  | Error e, _ | _, Error e -> Alcotest.failf "failed: %a" Integrate.pp_error e
+
 let test_text_conflict () =
   let cfg = Integrate.config ~oracle:oracle_05 () in
   match Integrate.integrate cfg (parse "<v>1</v>") (parse "<v>2</v>") with
@@ -760,6 +775,7 @@ let suite =
         t "oracle conflict propagates" test_oracle_conflict_propagates;
         t "sibling-distinctness violation propagates" test_infeasible_propagates;
         t "possibility cap enforced" test_too_large;
+        t "adjacent text children read as canonical" test_adjacent_text_is_canonical;
       ] );
     ( "integrate.factorize",
       [

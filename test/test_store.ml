@@ -230,7 +230,7 @@ let test_corrupted_file_quarantined () =
   Store.put s "beta" (Store.Certain (Tree.element "beta" []));
   save_exn s dir;
   (* flip bytes behind the store's back (the first save writes gen 1) *)
-  write_raw dir "alpha.g1.xml" "<catalog><item>tampered</item></catalog>";
+  write_raw dir "alpha.g1.ipx" "<catalog><item>tampered</item></catalog>";
   (match Store.load ~mode:Store.Strict dir with
   | Error msg ->
       check Alcotest.bool "strict reports checksum" true
@@ -246,12 +246,12 @@ let test_corrupted_file_quarantined () =
   | _ -> Alcotest.fail "tampered doc not quarantined");
   (* the default load left the damaged bytes where they were *)
   check Alcotest.bool "read-only load moves nothing" true
-    (Sys.file_exists (Filename.concat dir "alpha.g1.xml"));
+    (Sys.file_exists (Filename.concat dir "alpha.g1.ipx"));
   let _ = load_exn ~quarantine:true dir in
   check Alcotest.bool "bytes preserved under .corrupt" true
-    (Sys.file_exists (Filename.concat dir "alpha.g1.xml.corrupt"));
+    (Sys.file_exists (Filename.concat dir "alpha.g1.ipx.corrupt"));
   check Alcotest.bool "damaged file moved aside" false
-    (Sys.file_exists (Filename.concat dir "alpha.g1.xml"))
+    (Sys.file_exists (Filename.concat dir "alpha.g1.ipx"))
 
 (* A manifest that fails its own checksum is quarantined and the directory
    degrades to face-value loading rather than refusing wholesale. *)
@@ -304,8 +304,8 @@ let test_default_load_is_read_only () =
   let s = Store.create () in
   Store.put s "alpha" (Store.Certain tree);
   save_exn s dir;
-  write_raw dir "alpha.g1.xml" "torn garbage <<<";
-  write_raw dir "beta.g7.xml.tmp" "interrupted staging";
+  write_raw dir "alpha.g1.ipx" "torn garbage <<<";
+  write_raw dir "beta.g7.ipx.tmp" "interrupted staging";
   let before = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
   let s', report = load_exn dir in
   check Alcotest.bool "damaged doc not returned" false (Store.mem s' "alpha");
@@ -313,6 +313,39 @@ let test_default_load_is_read_only () =
     (List.exists (fun (_, o) -> o <> Store.Recovered) report.Store.docs);
   let after = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
   check Alcotest.(list string) "directory untouched" before after
+
+(* A directory an earlier version wrote — XML documents under a version-2
+   manifest — loads as it is; the next save rewrites its documents as .ipx
+   under a version-3 manifest and deletes the superseded .xml generation,
+   but never a foreign .xml file. *)
+let test_legacy_xml_store_migrates () =
+  let dir = fresh_dir () in
+  let data = "<catalog><item>x</item></catalog>\n" in
+  write_raw dir "alpha.g1.xml" data;
+  let crc = Imprecise.Bincodec.crc32 in
+  let block =
+    Printf.sprintf "alpha certain %d %08lx alpha.g1.xml\n" (String.length data) (crc data)
+  in
+  write_raw dir "MANIFEST"
+    (Printf.sprintf "imprecise-manifest 2\n%send 1 %08lx\n" block (crc block));
+  write_raw dir "notes.xml" "<notes>user data, not ours</notes>";
+  let s, report = load_exn dir in
+  check Alcotest.bool "legacy manifest verified" true (report.Store.manifest = `Ok);
+  check Alcotest.bool "legacy document loaded" true
+    (match Store.get_certain s "alpha" with Some t -> Tree.deep_equal t tree | None -> false);
+  save_exn s dir;
+  let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+  check Alcotest.(list string) "only .ipx, the manifest and the foreign file"
+    [ "MANIFEST"; "alpha.g2.ipx"; "notes.xml" ] files;
+  check Alcotest.(option string) "version-3 manifest" (Some "imprecise-manifest 3")
+    (In_channel.with_open_bin (Filename.concat dir "MANIFEST") In_channel.input_line);
+  let s', report = load_exn dir in
+  check Alcotest.bool "migrated document loaded" true
+    (match Store.get_certain s' "alpha" with Some t -> Tree.deep_equal t tree | None -> false);
+  check Alcotest.bool "only the foreign file is reported" true
+    (List.for_all
+       (fun (name, o) -> (o = Store.Recovered) = (name <> "notes.xml"))
+       report.Store.docs)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -332,5 +365,6 @@ let suite =
         t "corrupt manifest salvaged" test_corrupt_manifest_salvaged;
         t "foreign files are never deleted" test_foreign_files_never_deleted;
         t "default load is read-only" test_default_load_is_read_only;
+        t "legacy XML store loads and migrates" test_legacy_xml_store_migrates;
       ] );
   ]

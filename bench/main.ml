@@ -904,58 +904,6 @@ let store_binary_roundtrip () =
      payload writes each distinct subtree once and back-references repeats,\n\
      so dedup happens on disk too — see doc/store.md)\n"
 
-let intern_dedup () =
-  section "Extension - hash-consed subtrees (weak intern pool, doc/pxml.md)";
-  let fig2 =
-    integrate_or_fail ~rules:Rulesets.generic ~dtd:Data.Addressbook.dtd
-      Data.Addressbook.source_a Data.Addressbook.source_b
-  in
-  let hits = Obs.Metrics.counter "pxml.intern.hit"
-  and misses = Obs.Metrics.counter "pxml.intern.miss" in
-  let h0 = Obs.Metrics.count hits and m0 = Obs.Metrics.count misses in
-  let interned = Intern.doc fig2 in
-  let h1 = Obs.Metrics.count hits and m1 = Obs.Metrics.count misses in
-  Printf.printf "first intern: %d hits, %d misses (pool fills bottom-up)\n" (h1 - h0)
-    (m1 - m0);
-  (* a structurally-equal deep copy — fresh allocations throughout — must
-     resolve to the same canonical pointers without growing any pool *)
-  let copy =
-    or_fail "codec roundtrip" Fmt.string (Codec.of_string (Codec.to_string fig2))
-  in
-  let copy' = Intern.doc copy in
-  let h2 = Obs.Metrics.count hits and m2 = Obs.Metrics.count misses in
-  Printf.printf "re-intern of a deep copy: %d hits, %d misses, same pointer: %b\n"
-    (h2 - h1) (m2 - m1) (copy' == interned);
-  Printf.printf "node occurrences %d   distinct after interning %d\n" (node_count fig2)
-    (Intern.distinct_nodes interned);
-  (* the payoff: deep equality on interned values is a pointer check *)
-  let fresh_a =
-    or_fail "codec roundtrip" Fmt.string (Codec.of_string (Codec.to_string fig2))
-  in
-  let fresh_b =
-    or_fail "codec roundtrip" Fmt.string (Codec.of_string (Codec.to_string fig2))
-  in
-  let reps = 20_000 in
-  let _, t_deep =
-    time (fun () ->
-        for _ = 1 to reps do
-          assert (Pxml.equal fresh_a fresh_b)
-        done)
-  in
-  let ia = Intern.doc fresh_a and ib = Intern.doc fresh_b in
-  let _, t_ptr =
-    time (fun () ->
-        for _ = 1 to reps do
-          assert (Pxml.equal ia ib)
-        done)
-  in
-  Printf.printf "%d deep-equality checks: fresh %.4fs   interned %.4fs (%.0fx)\n" reps
-    t_deep t_ptr (t_deep /. Float.max 1e-9 t_ptr);
-  Printf.printf
-    "(Decision_cache keys, dedup-compaction and the binary codec all lean on\n\
-     this: one interning traversal yields the canonical subtree and its\n\
-     hash, and equality short-circuits on physical identity)\n"
-
 (* ---- bechamel performance benches ---------------------------------------------------- *)
 
 let perf () =
@@ -1059,7 +1007,6 @@ let experiments =
     ("integrate_fold_many", integrate_fold_many);
     ("integrate_blocking", integrate_blocking);
     ("store_binary_roundtrip", store_binary_roundtrip);
-    ("intern_dedup", intern_dedup);
     ("ablation", ablation);
     ("perf", perf);
   ]

@@ -9,7 +9,6 @@ module Worlds = Imprecise_pxml.Worlds
 module Compact = Imprecise_pxml.Compact
 module Codec = Imprecise_pxml.Codec
 module Bincodec = Imprecise_pxml.Bincodec
-module Intern = Imprecise_pxml.Intern
 module Xpath = Imprecise_xpath
 module Oracle = Imprecise_oracle.Oracle
 module Decision_cache = Imprecise_oracle.Decision_cache

@@ -34,10 +34,6 @@ module Codec = Imprecise_pxml.Codec
 (** Compact binary document codec — the on-disk v3 store format. *)
 module Bincodec = Imprecise_pxml.Bincodec
 
-(** Hash-consing of deep-equal subtrees (pointer-check equality, cached
-    structural hashes). *)
-module Intern = Imprecise_pxml.Intern
-
 module Xpath = Imprecise_xpath
 module Oracle = Imprecise_oracle.Oracle
 module Decision_cache = Imprecise_oracle.Decision_cache

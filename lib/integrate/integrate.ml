@@ -208,9 +208,9 @@ module Engine (R : REP) = struct
   (* The candidate graph of [ga] × [gb]: the blocker's plan picks the cells,
      the Oracle scores them. *)
   let grid cfg trace (ga : Tree.t array) (gb : Tree.t array) : Matching.graph =
-    (* Decision-cache keys are built once per child: one intern traversal
-       each, here and single-threaded, so the band workers never take the
-       intern lock. *)
+    (* Decision-cache keys are built once per child: one hashing
+       traversal each, here and single-threaded, so the band workers only
+       probe. *)
     let decide =
       match cfg.decisions with
       | None -> fun i j -> O.decide cfg.oracle ga.(i) gb.(j)

@@ -1,5 +1,4 @@
 module Xml = Imprecise_xml
-module Intern = Imprecise_pxml.Intern
 module Obs = Imprecise_obs.Obs
 
 let c_hit = Obs.Metrics.counter "oracle.cache.hit"
@@ -13,25 +12,42 @@ let c_evict = Obs.Metrics.counter "oracle.cache.evict"
    guarded by a mutex: the integration engine consults one cache from all
    the domains deciding the verdict grid.
 
-   A key is an INTERNED subtree with its pool hash, built once by [key]
-   (one traversal into the intern pool). A lookup is then one hash combine
-   and two pointer checks (deep-equal trees intern to the same pointer):
-   no traversal and no intern lock per probe. *)
+   A key is a subtree with its full structural hash, built once by [key]
+   (one traversal). Keys are equal when their hashes agree and the trees
+   are equal as written ([Tree.compare_raw], no canonical form), so a
+   probe with the very keys that were stored is a hash check and a
+   pointer check, and a probe with a fresh deep-equal copy traverses it
+   once more. *)
 
 type key = { tree : Xml.Tree.t; hash : int }
 
-let key t =
-  let tree, hash = Intern.tree_hashed t in
-  { tree; hash }
+let mix h x = (h * 16777619) lxor x
+
+(* Every node, attribute and string is hashed ([Hashtbl.hash] reads a
+   whole string), unlike [Hashtbl.hash] on a tree, which stops after a
+   few nodes. *)
+let rec hash_tree = function
+  | Xml.Tree.Text s -> mix 3 (Hashtbl.hash s)
+  | Xml.Tree.Element (name, attrs, children) ->
+      List.fold_left
+        (fun h c -> mix h (hash_tree c))
+        (List.fold_left
+           (fun h (k, v) -> mix (mix h (Hashtbl.hash k)) (Hashtbl.hash v))
+           (mix 5 (Hashtbl.hash name)) attrs)
+        children
+
+let key tree = { tree; hash = hash_tree tree }
 
 let key_hash k = k.hash
+
+let equal_key a b = a.hash = b.hash && Xml.Tree.compare_raw a.tree b.tree = 0
 
 type pair = key * key
 
 module Ktbl = Hashtbl.Make (struct
   type t = pair
 
-  let equal (a1, b1) (a2, b2) = a1.tree == a2.tree && b1.tree == b2.tree
+  let equal (a1, b1) (a2, b2) = equal_key a1 a2 && equal_key b1 b2
 
   let hash (a, b) = (a.hash * 31) lxor b.hash
 end)

@@ -7,12 +7,16 @@
     the {e pair of subtrees themselves} (structural equality), so any
     repeat is answered without consulting the rules again.
 
-    A {!key} is a subtree hash-consed through {!Imprecise_pxml.Intern},
-    paired with its structural hash. Building one traverses the subtree
-    once; the integration engine builds them once per verdict-grid row and
-    column, before the grid fans out to its domains. A lookup — hit or
-    miss — is then one hash combine and two pointer checks, O(1) in the
-    size of the subtrees.
+    A {!key} is a subtree paired with its full structural hash. Building
+    one traverses the subtree once; the integration engine builds them once
+    per verdict-grid row and column, before the grid fans out to its
+    domains. Two keys are equal when their hashes agree and their trees
+    are equal {e as written} ({!Imprecise_xml.Tree.compare_raw}: attribute
+    order and whitespace text count, no canonical form), so exactly the
+    pairs of raw-equal subtrees share a verdict. A probe with the keys a
+    verdict was stored under is a hash combine and two pointer checks,
+    O(1) in the size of the subtrees; a probe with fresh deep-equal copies
+    also compares them once.
 
     Soundness contract: the Oracle's rules and default must be pure
     functions of the two subtrees. Rules that close over external state
@@ -31,11 +35,11 @@ module Xml = Imprecise_xml
 
 type t
 
-(** An interned subtree with its structural hash. *)
+(** A subtree with its structural hash. *)
 type key
 
-(** [key tree] interns [tree] ({!Imprecise_pxml.Intern.tree_hashed}): one
-    traversal. Deep-equal trees give keys that compare equal. *)
+(** [key tree] hashes [tree]: one traversal. Trees equal as written give
+    keys that compare equal. *)
 val key : Xml.Tree.t -> key
 
 (** The structural hash a key was built with. *)

@@ -98,8 +98,16 @@ let get_float r =
   done;
   Int64.float_of_bits !bits
 
+(* [get_count r] is a length or an element count. Every element and every
+   byte takes at least one byte of payload, so a count beyond the bytes
+   left is damage, caught here before [List.init] or [String.sub] sees
+   it. *)
+let get_count r =
+  let n = get_varint r in
+  if n < 0 || n > r.limit - r.pos then fail r "count exceeds the payload";
+  n
+
 let get_bytes r n =
-  if n < 0 || r.pos + n > r.limit then fail r "truncated payload";
   let s = String.sub r.s r.pos n in
   r.pos <- r.pos + n;
   s
@@ -133,16 +141,16 @@ end
 
 (* ---- encoding ----------------------------------------------------------
 
-   Each call hash-conses its document on its own. A node's key is its tag,
-   its attributes and the definition ids of its children (probabilities by
-   their bits), and a table local to the call maps each key to its
-   definition id. Because the key needs the children's ids, a node's body
-   is written first; when its key turns out to be defined already, the
-   buffer is cut back to the node's start and a back-reference written
-   instead. Nothing but strings can have been defined inside such a
-   duplicate (a child given a fresh id would not match the earlier
-   occurrence's), and the cut undefines those strings too. One pass, no
-   global state; the tables die with the call. *)
+   Each call hash-conses its document on its own. A string's key is its
+   value; a node's key is its tag, its attributes and the definition ids of
+   its children (probabilities by their bits), and a table local to the
+   call maps each key to its definition id. Because the key needs the
+   children's ids, a node's body is written first; when its key turns out
+   to be defined already, the buffer is cut back to the node's start and a
+   back-reference written instead. Nothing can have been defined inside
+   such a duplicate: its earlier occurrence defined every child and every
+   string value in it, so the body written was back-references only. One
+   pass, no global state; the tables die with the call. *)
 
 type key =
   | K_text of string
@@ -191,14 +199,7 @@ module Keys = Hashtbl.Make (struct
   let hash = hash_key
 end)
 
-(* Strings are shared by an == probe: a string missed by the probe (same
-   bytes, different allocation) is merely written twice, never decoded
-   differently. The table is keyed by value, and each value keeps the
-   allocations defined under it in an array scanned with ==. (A table
-   hashed by value but compared with == would chain every allocation of a
-   value into one bucket, and a parsed document allocates each element's
-   tag afresh.) *)
-module Values = Hashtbl.Make (struct
+module Strings = Hashtbl.Make (struct
   type t = string
 
   let equal = String.equal
@@ -206,47 +207,24 @@ module Values = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type allocs = { mutable strs : string array; mutable sids : int array; mutable n : int }
-
 type defs = { ids : int Keys.t; mutable next : int }
 
 type encoder = {
   buf : Buffer.t;
-  strings : allocs Values.t;
-  mutable n_strings : int;
-  mutable defined : allocs list;  (** where each defined string went, newest first *)
+  strings : int Strings.t;
   trees : defs;
   nodes : defs;
   dists : defs;
 }
 
 let put_string e s =
-  let a =
-    match Values.find_opt e.strings s with
-    | Some a -> a
-    | None ->
-        let a = { strs = [||]; sids = [||]; n = 0 } in
-        Values.add e.strings s a;
-        a
-  in
-  let rec find i = if i < 0 || a.strs.(i) == s then i else find (i - 1) in
-  let i = find (a.n - 1) in
-  if i >= 0 then put_varint e.buf (a.sids.(i) + 1)
-  else begin
-    put_varint e.buf 0;
-    put_varint e.buf (String.length s);
-    Buffer.add_string e.buf s;
-    if a.n = Array.length a.strs then begin
-      let size = max 4 (2 * a.n) in
-      a.strs <- Array.append a.strs (Array.make (size - a.n) s);
-      a.sids <- Array.append a.sids (Array.make (size - a.n) 0)
-    end;
-    a.strs.(a.n) <- s;
-    a.sids.(a.n) <- e.n_strings;
-    a.n <- a.n + 1;
-    e.n_strings <- e.n_strings + 1;
-    e.defined <- a :: e.defined
-  end
+  match Strings.find_opt e.strings s with
+  | Some k -> put_varint e.buf (k + 1)
+  | None ->
+      put_varint e.buf 0;
+      put_varint e.buf (String.length s);
+      Buffer.add_string e.buf s;
+      Strings.add e.strings s (Strings.length e.strings)
 
 let put_attrs e attrs =
   put_varint e.buf (List.length attrs);
@@ -256,24 +234,14 @@ let put_attrs e attrs =
       put_string e v)
     attrs
 
-(* [close e defs ~start ~strings key] ends the definition whose body was
-   written from buffer offset [start], with [strings] strings defined
-   before it: a new key gets the next id, a known one replaces the body by
-   a back-reference. Either way the result is the node's id. *)
-let close e defs ~start ~strings key =
+(* [close e defs ~start key] ends the definition whose body was written
+   from buffer offset [start]: a new key gets the next id, a known one
+   replaces the body by a back-reference. Either way the result is the
+   node's id. *)
+let close e defs ~start key =
   match Keys.find_opt defs.ids key with
   | Some k ->
       Buffer.truncate e.buf start;
-      (* undefine the strings the cut took back: each is the newest
-         allocation of its value *)
-      while e.n_strings > strings do
-        match e.defined with
-        | a :: rest ->
-            a.n <- a.n - 1;
-            e.n_strings <- e.n_strings - 1;
-            e.defined <- rest
-        | [] -> assert false
-      done;
       put_varint e.buf (k + 1);
       k
   | None ->
@@ -285,7 +253,7 @@ let close e defs ~start ~strings key =
 (* [List.map] applies its function left to right, the order the decoder
    reads the children in. *)
 let rec put_tree e t =
-  let start = Buffer.length e.buf and strings = e.n_strings in
+  let start = Buffer.length e.buf in
   put_varint e.buf 0;
   let key =
     match t with
@@ -300,10 +268,10 @@ let rec put_tree e t =
         put_varint e.buf (List.length children);
         K_elem (name, attrs, List.map (put_tree e) children)
   in
-  close e e.trees ~start ~strings key
+  close e e.trees ~start key
 
 let rec put_node e (n : Pxml.node) =
-  let start = Buffer.length e.buf and strings = e.n_strings in
+  let start = Buffer.length e.buf in
   put_varint e.buf 0;
   let key =
     match n with
@@ -318,10 +286,10 @@ let rec put_node e (n : Pxml.node) =
         put_varint e.buf (List.length content);
         K_elem (tag, attrs, List.map (put_dist e) content)
   in
-  close e e.nodes ~start ~strings key
+  close e e.nodes ~start key
 
 and put_dist e (d : Pxml.dist) =
-  let start = Buffer.length e.buf and strings = e.n_strings in
+  let start = Buffer.length e.buf in
   put_varint e.buf 0;
   put_varint e.buf (List.length d.choices);
   let key =
@@ -333,16 +301,14 @@ and put_dist e (d : Pxml.dist) =
            (c.prob, List.map (put_node e) c.nodes))
          d.choices)
   in
-  close e e.dists ~start ~strings key
+  close e e.dists ~start key
 
 let encode ~kind put v =
   let defs () = { ids = Keys.create 64; next = 0 } in
   let e =
     {
       buf = Buffer.create 1024;
-      strings = Values.create 64;
-      n_strings = 0;
-      defined = [];
+      strings = Strings.create 64;
       trees = defs ();
       nodes = defs ();
       dists = defs ();
@@ -363,10 +329,6 @@ let tree_to_string t = encode ~kind:0 put_tree t
 
 let doc_to_string d = encode ~kind:1 put_dist d
 
-let to_string = function
-  | Certain t -> tree_to_string t
-  | Probabilistic d -> doc_to_string d
-
 (* ---- decoding ---------------------------------------------------------- *)
 
 type decoder = {
@@ -381,15 +343,13 @@ let get_string d =
   let k = get_varint d.r in
   if k > 0 then Dtbl.get d.r d.dstrings (k - 1)
   else begin
-    let len = get_varint d.r in
-    let s = get_bytes d.r len in
+    let s = get_bytes d.r (get_count d.r) in
     Dtbl.append d.dstrings s;
     s
   end
 
 let get_attrs d =
-  let n = get_varint d.r in
-  List.init n (fun _ ->
+  List.init (get_count d.r) (fun _ ->
       let k = get_string d in
       let v = get_string d in
       (k, v))
@@ -404,8 +364,7 @@ let rec get_tree d =
       | 1 ->
           let name = get_string d in
           let attrs = get_attrs d in
-          let n = get_varint d.r in
-          Tree.Element (name, attrs, List.init n (fun _ -> get_tree d))
+          Tree.Element (name, attrs, List.init (get_count d.r) (fun _ -> get_tree d))
       | k -> fail d.r (Fmt.str "unknown tree-node kind %d" k)
     in
     Dtbl.append d.dtrees t;
@@ -422,8 +381,7 @@ let rec get_node d : Pxml.node =
       | 1 ->
           let tag = get_string d in
           let attrs = get_attrs d in
-          let n = get_varint d.r in
-          Pxml.Elem (tag, attrs, List.init n (fun _ -> get_dist d))
+          Pxml.Elem (tag, attrs, List.init (get_count d.r) (fun _ -> get_dist d))
       | k -> fail d.r (Fmt.str "unknown node kind %d" k)
     in
     Dtbl.append d.dnodes n;
@@ -434,13 +392,12 @@ and get_dist d : Pxml.dist =
   let k = get_varint d.r in
   if k > 0 then Dtbl.get d.r d.ddists (k - 1)
   else begin
-    let n = get_varint d.r in
+    let n = get_count d.r in
     if n = 0 then fail d.r "probability node with no possibilities";
     let choices =
       List.init n (fun _ ->
           let prob = get_float d.r in
-          let n = get_varint d.r in
-          { Pxml.prob; nodes = List.init n (fun _ -> get_node d) })
+          { Pxml.prob; nodes = List.init (get_count d.r) (fun _ -> get_node d) })
     in
     (* the structural invariants (probabilities in range, sums within
        epsilon of 1) are enforced exactly as the XML codec enforces them *)

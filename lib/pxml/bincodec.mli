@@ -16,38 +16,38 @@
     a varint [k] — [k = 0] introduces a definition (body follows, appended
     post-order to that production's table), [k > 0] is a back-reference to
     definition [k-1]. Each encode hash-conses the document in tables of its
-    own (a node is keyed by its tag, attributes and its children's
-    definitions, probabilities by their bits), so deep-equal subtrees are
-    written once; strings are shared when they are the same allocation.
-    Encoding touches no global state ({!Intern}'s pools included) and
-    keeps nothing after it returns. Decoding rebuilds the same sharing
-    physically. Probabilities travel as their IEEE-754 bits
+    own (a string by its value, a node by its tag, attributes and its
+    children's definitions, probabilities by their bits), so equal strings
+    and deep-equal subtrees are written once. Encoding touches no global
+    state and keeps nothing after it returns. Decoding rebuilds the same
+    sharing physically. Probabilities travel as their IEEE-754 bits
     (little-endian), so the round-trip is bit-exact — no text formatting is
     involved.
 
     Decoding verifies magic, version, declared length, and CRC-32 before
-    building anything, and re-validates the structural invariants
-    (probability sums) as the XML codec does; any mismatch is an [Error],
-    never an exception, so the store can quarantine a torn or corrupted
-    file instead of crashing. *)
+    building anything, bounds every count and length by the payload bytes
+    left, and re-validates the structural invariants (probability sums) as
+    the XML codec does; any mismatch is an [Error], never an exception, so
+    the store can quarantine a torn or corrupted file instead of
+    crashing. *)
 
 module Tree = Imprecise_xml.Tree
 
 type payload = Certain of Tree.t | Probabilistic of Pxml.doc
 
-val version : int
-
-(** [to_string p] is the framed binary encoding of [p]: one pass over
-    [p]. *)
-val to_string : payload -> string
-
+(** [tree_to_string t] is the framed binary encoding of a certain tree:
+    one pass over [t]. *)
 val tree_to_string : Tree.t -> string
 
+(** [doc_to_string d] is the framed binary encoding of a probabilistic
+    document: one pass over [d]. *)
 val doc_to_string : Pxml.doc -> string
 
-(** [of_string s] decodes a frame produced by {!to_string}. Errors (bad
-    magic, unsupported version, length mismatch, checksum failure,
-    truncation, malformed payload) are returned, not raised. *)
+(** [of_string s] decodes a frame produced by {!tree_to_string} or
+    {!doc_to_string} (or by any earlier encoder of the same frame
+    layout). Errors (bad magic, unsupported version, length mismatch,
+    checksum failure, truncation, counts or lengths beyond the payload,
+    malformed payload) are returned, never raised. *)
 val of_string : string -> (payload, string) result
 
 (** [is_binary s] is [true] iff [s] starts with the binary magic — use to

@@ -159,9 +159,9 @@ let world_count_int d =
   let n = dist d in
   if !overflow then None else Some n
 
-(* Physical-equality fast paths: on interned (hash-consed) values deep
-   equality is a pointer check; on everything else they only add one
-   comparison. *)
+(* Physical-equality fast paths: on shared subtrees (a decoded .ipx frame
+   rebuilds its sharing physically) deep equality is a pointer check; on
+   everything else they only add one comparison. *)
 let rec equal_node a b =
   a == b
   ||

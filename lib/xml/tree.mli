@@ -79,6 +79,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+(** [compare_raw a b] orders trees as written, with no canonical form:
+    attribute order, whitespace text and adjacent text nodes all count.
+    Physically equal subtrees compare equal without being traversed. *)
+val compare_raw : t -> t -> int
+
 (** {1 Traversal and statistics} *)
 
 (** [fold f acc t] folds [f] over every node of [t] in document order. *)

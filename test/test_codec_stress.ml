@@ -3,15 +3,21 @@
 
    - 500 random probabilistic documents (seeded, reproducible) encode and
      decode BIT-identically — probabilities compared by their IEEE-754
-     bits, not an epsilon — interned or not, plus the XML attribute codec
+     bits, not an epsilon — and re-encoding a decoded (physically shared)
+     document gives the same bytes; plus the XML attribute codec
      round-trip on hostile floats (0.1 +. 0.2, subnormals, 1e-300).
-   - The encoder hash-conses each document locally; its frames must equal,
-     byte for byte, those of the reference below (intern the document in
-     the global pools, then encode), and it must not touch the pools.
+   - The encoder shares strings by value and subtrees by structure. The
+     reference below writes legacy frames, shared by allocation only:
+     those must decode bit-exactly to the same document, and the new
+     frame is never longer. A frame written by an earlier encoder
+     (Figure 2) is pinned and must decode bit-exactly. A tree beside its
+     fresh-string deep copy costs exactly one back-reference.
    - CRC-32 gives the IEEE check value and agrees with the reference's.
    - Corruption is detected, never crashes: every truncation of a frame
-     and every single-bit flip in a payload decodes to [Error]; a store
-     load over a corrupted binary file quarantines it.
+     and every single-bit flip in a payload decodes to [Error]; so do
+     CRC-valid frames whose counts or lengths are negative or run past
+     the payload. A store load over a corrupted or hostile binary file
+     quarantines it.
    - Saves write only .ipx files under a version-3 manifest; a legacy
      store of XML files under a version-2 manifest loads, and a save
      migrates it with the same documents and the same ranked answers on
@@ -24,7 +30,6 @@ module Pxml = Imprecise.Pxml
 module Tree = Imprecise.Tree
 module Codec = Imprecise.Codec
 module Bincodec = Imprecise.Bincodec
-module Intern = Imprecise.Intern
 module Compact = Imprecise.Compact
 module Store = Imprecise.Store
 module Pquery = Imprecise.Pquery
@@ -33,7 +38,6 @@ module Prng = Imprecise.Data.Prng
 module Random_docs = Imprecise.Data.Random_docs
 module Addressbook = Imprecise.Data.Addressbook
 module Workloads = Imprecise.Data.Workloads
-module Obs = Imprecise.Obs
 
 let cases =
   match Sys.getenv_opt "CODEC_CASES" with
@@ -66,9 +70,10 @@ and exact_choice (a : Pxml.choice) (b : Pxml.choice) =
 
 (* ---- the reference encoder ---------------------------------------------
 
-   The encoder as it was before it hash-consed locally: intern the document
-   in Intern's global pools, then write it with == tables, so a repeated
-   subtree is the same pointer and becomes a back-reference. Its CRC-32 is
+   A writer of legacy frames: the same layout, written with == tables, so
+   a value is shared only where it is the same allocation (a string read
+   twice from a file is written twice). Earlier encoders wrote such frames
+   and stores still hold them; the decoder must read them. Its CRC-32 is
    the boxed Int32 loop the store used to carry twice. *)
 
 module Reference = struct
@@ -250,61 +255,81 @@ module Reference = struct
 
   let tree_to_string t =
     let e = encoder () in
-    put_tree e (Intern.tree t);
+    put_tree e t;
     frame ~kind:0 (Buffer.contents e.buf)
 
   let doc_to_string d =
     let e = encoder () in
-    put_dist e (Intern.doc d);
+    put_dist e d;
     frame ~kind:1 (Buffer.contents e.buf)
 end
 
-let intern_hit = Obs.Metrics.counter "pxml.intern.hit"
-
-let intern_miss = Obs.Metrics.counter "pxml.intern.miss"
-
-(* [encode seed what f x] is [f x], failing the case if [f] moved the
-   global intern pools' counters. *)
-let encode seed what f x =
-  let h0 = Obs.Metrics.count intern_hit and m0 = Obs.Metrics.count intern_miss in
-  let frame = f x in
-  if Obs.Metrics.count intern_hit <> h0 || Obs.Metrics.count intern_miss <> m0 then
-    fail seed "%s touched the intern pools" what;
-  frame
-
-let same_frame seed what ~reference frame =
-  if not (String.equal reference frame) then
-    fail seed "%s: frame differs from the reference encoder's (%d vs %d bytes)" what
+let no_longer seed what ~reference frame =
+  if String.length frame > String.length reference then
+    fail seed "%s: frame longer than the reference encoder's (%d vs %d bytes)" what
       (String.length frame) (String.length reference)
+
+(* The payload starts after magic, version, kind, the varint length and
+   4 CRC bytes. *)
+let header_length frame =
+  let rec skip_varint i =
+    if Char.code frame.[i] land 0x80 <> 0 then skip_varint (i + 1) else i + 1
+  in
+  skip_varint 6 + 4
+
+let decode_doc frame =
+  match Bincodec.of_string frame with
+  | Ok (Bincodec.Probabilistic d) -> Ok d
+  | Ok (Bincodec.Certain _) -> Error "decoded as certain"
+  | Error e -> Error e
+
+let decode_tree frame =
+  match Bincodec.of_string frame with
+  | Ok (Bincodec.Certain t) -> Ok t
+  | Ok (Bincodec.Probabilistic _) -> Error "decoded as probabilistic"
+  | Error e -> Error e
 
 (* ---- random round-trips ------------------------------------------------ *)
 
-(* [check_doc seed what doc] encodes [doc], requires the reference's bytes
-   and a bit-exact decode, and returns the frame. *)
+(* [check_doc seed what doc] encodes [doc] and requires: a bit-exact
+   decode, the same bytes when the decoded document is encoded again, a
+   reference frame that decodes bit-exactly to the same document, and no
+   more bytes than the reference's. Returns the frame. *)
 let check_doc seed what doc =
-  let frame = encode seed "doc_to_string" Bincodec.doc_to_string doc in
-  same_frame seed what ~reference:(Reference.doc_to_string doc) frame;
-  (match Bincodec.of_string frame with
-  | Ok (Bincodec.Probabilistic d) ->
-      if not (exact_dist doc d) then fail seed "%s: binary round-trip changed it" what
-  | Ok (Bincodec.Certain _) -> fail seed "%s: decoded as certain" what
-  | Error e -> fail seed "%s: binary round-trip failed: %s" what e);
+  let frame = Bincodec.doc_to_string doc in
+  let reference = Reference.doc_to_string doc in
+  no_longer seed what ~reference frame;
+  List.iter
+    (fun (whose, f) ->
+      match decode_doc f with
+      | Ok d ->
+          if not (exact_dist doc d) then fail seed "%s: %s round-trip changed it" what whose;
+          if not (String.equal (Bincodec.doc_to_string d) frame) then
+            fail seed "%s: re-encoding the %s decode changed the bytes" what whose
+      | Error e -> fail seed "%s: %s round-trip failed: %s" what whose e)
+    [ ("binary", frame); ("reference", reference) ];
   frame
 
+(* Trees compare raw: [Tree.equal]'s canonical form would hide a decode
+   that dropped whitespace text. *)
 let check_tree seed what tree =
-  let frame = encode seed "tree_to_string" Bincodec.tree_to_string tree in
-  same_frame seed what ~reference:(Reference.tree_to_string tree) frame;
-  match Bincodec.of_string frame with
-  | Ok (Bincodec.Certain t) ->
-      if not (Tree.equal tree t) then fail seed "%s: tree round-trip changed it" what
-  | Ok (Bincodec.Probabilistic _) -> fail seed "%s: decoded as probabilistic" what
-  | Error e -> fail seed "%s: tree round-trip failed: %s" what e
+  let frame = Bincodec.tree_to_string tree in
+  let reference = Reference.tree_to_string tree in
+  no_longer seed what ~reference frame;
+  List.iter
+    (fun (whose, f) ->
+      match decode_tree f with
+      | Ok t ->
+          if Tree.compare_raw tree t <> 0 then fail seed "%s: %s round-trip changed it" what whose;
+          if not (String.equal (Bincodec.tree_to_string t) frame) then
+            fail seed "%s: re-encoding the %s decode changed the bytes" what whose
+      | Error e -> fail seed "%s: %s round-trip failed: %s" what whose e)
+    [ ("tree", frame); ("reference", reference) ]
 
-(* A deep copy whose every string is a fresh allocation is a duplicate the
-   string probe misses: the encoder writes its body, defining those
-   strings, before the cut takes them back. [tail] then defines one more
-   string and refers back to it, so an id the cut left behind would
-   show. *)
+(* A deep copy whose every string is a fresh allocation: the reference
+   writes it out in full, the encoder as one back-reference. [tail] then
+   defines one more string and refers back to it, so an id defined inside
+   the cut-back copy would show. *)
 let fresh s = Bytes.to_string (Bytes.of_string s)
 
 let fresh_attrs = List.map (fun (k, v) -> (fresh k, fresh v))
@@ -324,16 +349,34 @@ and fresh_dist (d : Pxml.dist) =
       List.map (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map fresh_node c.nodes }) d.choices;
   }
 
+let varint_length n =
+  let rec go n = if n < 0x80 then 1 else 1 + go (n lsr 7) in
+  go n
+
+(* Distinct subtrees of [t] as written: the number of tree definitions its
+   frame makes. *)
+let distinct_subtrees t =
+  let seen = Hashtbl.create 64 in
+  Tree.iter (fun n -> Hashtbl.replace seen n ()) t;
+  Hashtbl.length seen
+
+(* [pair [t; copy]] costs [pair [t]] plus one back-reference to [t], whose
+   id is its post-order position: the last of its distinct subtrees. *)
+let check_copy_is_one_reference seed tree =
+  let payload t =
+    let frame = Bincodec.tree_to_string t in
+    String.length frame - header_length frame
+  in
+  let single = payload (Tree.Element ("pair", [], [ tree ]))
+  and double = payload (Tree.Element ("pair", [], [ tree; fresh_tree tree ])) in
+  let reference = varint_length (distinct_subtrees tree) in
+  if double - single <> reference then
+    fail seed "a fresh deep copy cost %d bytes, not one %d-byte back-reference" (double - single)
+      reference
+
 let check_roundtrip seed =
   let doc = fst (Random_docs.pxml (Prng.make seed) ~depth:(2 + (seed mod 2))) in
-  let frame = check_doc seed "document" doc in
-  (* interning is transparent: the interned doc encodes to the same bytes *)
-  let interned = Intern.doc doc in
-  if not (exact_dist doc interned) then fail seed "interning changed the document";
-  same_frame seed "interned document" ~reference:frame
-    (encode seed "doc_to_string" Bincodec.doc_to_string interned);
-  if Intern.distinct_nodes interned > Intern.distinct_nodes doc then
-    fail seed "interning increased the number of distinct nodes";
+  ignore (check_doc seed "document" doc);
   let tail =
     let s = fresh "tail" in
     Pxml.Elem ("t", [ ("k", s) ], [ Pxml.certain [ Pxml.Text s ] ])
@@ -348,7 +391,9 @@ let check_roundtrip seed =
     let s = fresh "tail" in
     Tree.Element ("t", [ ("k", s) ], [ Tree.Text s ])
   in
-  check_tree seed "tree, fresh copy, tail" (Tree.Element ("pair", [], [ tree; fresh_tree tree; tail ]))
+  check_tree seed "tree, fresh copy, tail"
+    (Tree.Element ("pair", [], [ tree; fresh_tree tree; tail ]));
+  check_copy_is_one_reference seed tree
 
 (* ---- CRC-32 ------------------------------------------------------------ *)
 
@@ -431,11 +476,7 @@ let check_corruption seed =
     [ 0; 1; 3; 4; 5; 6; n / 4; n / 2; n - 1 ];
   (* every single-bit flip in the payload region is caught by the CRC (the
      header region fails on magic/version/kind/length checks instead) *)
-  let header_len =
-    (* magic + version + kind, then the varint length, then 4 CRC bytes *)
-    let rec skip_varint i = if Char.code frame.[i] land 0x80 <> 0 then skip_varint (i + 1) else i + 1 in
-    skip_varint 6 + 4
-  in
+  let header_len = header_length frame in
   let flip pos bit =
     let b = Bytes.of_string frame in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
@@ -449,6 +490,38 @@ let check_corruption seed =
     | Ok _ -> fail seed "bit flip at byte %d went undetected" !pos);
     pos := !pos + step
   done
+
+(* CRC-valid frames whose counts or lengths are damaged: decoding them
+   must stop at the count, before [List.init] or [String.sub] sees it. *)
+let minus_one = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" (* varint of -1 *)
+
+let near_max_int = "\xff\xff\xff\xff\xff\xff\xff\xff\x3f" (* varint of max_int *)
+
+let one = "\x00\x00\x00\x00\x00\x00\xf0\x3f" (* 1.0, little-endian *)
+
+let hostile_frames =
+  let elem_a = "\x00\x01\x00\x01a" (* define an element, define its tag "a" *) in
+  [
+    ("negative attribute count", 0, elem_a ^ minus_one);
+    ("negative child count", 0, elem_a ^ "\x00" ^ minus_one);
+    ("child count past the payload", 0, elem_a ^ "\x00\x64");
+    ("string length near max_int", 0, "\x00\x00\x00" ^ near_max_int ^ "abc");
+    ("negative string length", 0, "\x00\x00\x00" ^ minus_one ^ "abc");
+    ("negative choice count", 1, "\x00" ^ minus_one);
+    ("negative node count", 1, "\x00\x01" ^ one ^ minus_one);
+    ("negative node attribute count", 1, "\x00\x01" ^ one ^ "\x01" ^ elem_a ^ minus_one);
+    ("negative content count", 1, "\x00\x01" ^ one ^ "\x01" ^ elem_a ^ "\x00" ^ minus_one);
+  ]
+  |> List.map (fun (what, kind, payload) -> (what, Reference.frame ~kind payload))
+
+let check_hostile_frames () =
+  List.iter
+    (fun (what, frame) ->
+      match Bincodec.of_string frame with
+      | Error _ -> ()
+      | Ok _ -> fail 0 "hostile frame (%s) decoded successfully" what
+      | exception e -> fail 0 "hostile frame (%s) raised %s" what (Printexc.to_string e))
+    hostile_frames
 
 (* ---- stores: legacy XML, binary v3, migration, pinned answers --------- *)
 
@@ -471,15 +544,16 @@ let rank_sig doc query =
 
 (* §VI Q1/Q2 on the movie workload and the Figure 2 integration: the pinned
    queries whose answers a binary reload must preserve exactly. *)
+let fig2 () =
+  match
+    Imprecise.integrate ~rules:Imprecise.Rulesets.generic ~dtd:Addressbook.dtd
+      Addressbook.source_a Addressbook.source_b
+  with
+  | Ok doc -> doc
+  | Error _ -> failwith "fig2 integration failed"
+
 let pinned_docs () =
-  let fig2 =
-    match
-      Imprecise.integrate ~rules:Imprecise.Rulesets.generic ~dtd:Addressbook.dtd
-        Addressbook.source_a Addressbook.source_b
-    with
-    | Ok doc -> doc
-    | Error _ -> failwith "fig2 integration failed"
-  in
+  let fig2 = fig2 () in
   let wl = Workloads.confusing () in
   let rules = Imprecise.Rulesets.movie ~genre:true ~title:true ~director:true () in
   let movies =
@@ -619,10 +693,82 @@ let check_stores () =
           check_loaded "migrated" loaded
       | Error e -> fail 0 "migrated load: %s" e)
 
+(* A committed document replaced by a hostile frame, with a manifest that
+   vouches for its bytes: the load reaches the decoder, which must report
+   the damage so the document is quarantined (or the strict load refused),
+   never raise. *)
+let check_hostile_store () =
+  with_tmp_dir (fun dir ->
+      let store = Store.create () in
+      let certain = Tree.element "root" [ Tree.leaf "k" "v" ] in
+      Store.put store "good" (Store.Certain certain);
+      Store.put store "hostile" (Store.Certain certain);
+      (match Store.save store ~dir with Ok () -> () | Error e -> fail 0 "save: %s" e);
+      let mpath = Filename.concat dir Store.Manifest.filename in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let write path data =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+      in
+      match Store.Manifest.of_string (read mpath) with
+      | Error e -> fail 0 "hostile store: manifest unreadable: %s" e
+      | Ok entries ->
+          let data = List.assoc "string length near max_int" hostile_frames in
+          write mpath
+            (Store.Manifest.to_string
+               (List.map
+                  (fun (e : Store.Manifest.entry) ->
+                    if e.name <> "hostile" then e
+                    else begin
+                      write (Filename.concat dir e.file) data;
+                      { e with length = String.length data; crc = Bincodec.crc32 data }
+                    end)
+                  entries));
+          (match Store.load ~mode:Store.Strict dir with
+          | Ok _ -> fail 0 "hostile store: strict load accepted the hostile frame"
+          | Error _ -> ()
+          | exception e -> fail 0 "hostile store: strict load raised %s" (Printexc.to_string e));
+          match Store.load dir with
+          | Ok (loaded, report) ->
+              (match List.assoc_opt "hostile" report.Store.docs with
+              | Some (Store.Quarantined _) -> ()
+              | _ -> fail 0 "hostile store: the hostile document was not quarantined");
+              if Store.get_certain loaded "good" = None then
+                fail 0 "hostile store: the intact document was not recovered"
+          | Error e -> fail 0 "hostile store refused to load: %s" e
+          | exception e -> fail 0 "hostile store: load raised %s" (Printexc.to_string e))
+
+(* ---- a legacy frame ----------------------------------------------------
+
+   Figure 2's integration as the allocation-sharing encoder of an earlier
+   release wrote it. It must decode bit-exactly to today's integration,
+   whose own frame is no longer. *)
+
+let legacy_fig2_hex =
+  "\
+     495058420101de015f8e632a0001000000000000f03f010001000b61646472657373626f\
+     6f6b00010002000000000000e03f0200010006706572736f6e00010001000000000000f0\
+     3f02000100026e6d00010001000000000000f03f01000000044a6f686e0001000374656c\
+     00010001000000000000f03f01000000043131313100010200010001000000000000f03f\
+     020200010500010001000000000000f03f010000000432323232000000000000e03f0100\
+     010200020001000000000000f03f01020001000000000000f03f01000105000100020000\
+     00000000e03f0103000000000000e03f0106\
+     "
+
+let check_legacy_frame () =
+  let frame = String.init (String.length legacy_fig2_hex / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub legacy_fig2_hex (2 * i) 2)))
+  in
+  let fig2 = fig2 () in
+  (match decode_doc frame with
+  | Ok d -> if not (exact_dist fig2 d) then fail 0 "legacy Figure 2 frame decodes differently"
+  | Error e -> fail 0 "legacy Figure 2 frame: %s" e);
+  no_longer 0 "Figure 2" ~reference:frame (Bincodec.doc_to_string fig2)
+
 (* ---- size and sharing sanity ------------------------------------------- *)
 
 let check_compression () =
-  (* a document with heavy repetition: binary + interning must beat XML *)
+  (* a document with heavy repetition: sharing must beat XML 4x, and each
+     repeat of one of the three distinct persons is a back-reference *)
   let person i =
     Pxml.elem "person"
       [
@@ -631,15 +777,17 @@ let check_compression () =
             Pxml.elem "tel" [ Pxml.certain [ Pxml.text (string_of_int (i mod 3)) ] ] ];
       ]
   in
-  let doc = Pxml.certain [ Pxml.elem "book" [ Pxml.certain (List.init 200 person) ] ] in
+  let book n = Pxml.certain [ Pxml.elem "book" [ Pxml.certain (List.init n person) ] ] in
+  let doc = book 200 in
   let xml = Codec.to_string doc in
   let binary = Bincodec.doc_to_string doc in
   if String.length binary * 4 > String.length xml then
     fail 0 "binary did not compress a repetitive doc 4x (xml %d, binary %d)"
       (String.length xml) (String.length binary);
-  let interned = Intern.doc doc in
-  if Intern.distinct_nodes interned >= Pxml.node_count doc then
-    fail 0 "interning found no sharing in a repetitive document"
+  let three = String.length (Bincodec.doc_to_string (book 3)) in
+  if String.length binary > three + (197 * 2) then
+    fail 0 "197 repeated persons cost %d bytes over the first three"
+      (String.length binary - three)
 
 let () =
   for i = 0 to cases - 1 do
@@ -648,14 +796,17 @@ let () =
   for i = 0 to 19 do
     check_corruption (1000 + i)
   done;
+  check_hostile_frames ();
   check_float_attr ();
   check_crc ();
   check_stores ();
+  check_hostile_store ();
+  check_legacy_frame ();
   check_compression ();
   Fmt.pr
-    "codec-stress: %d round-trip cases, 20 corruption cases, %d hostile floats, 2 store \
-     scenarios, %d failures@."
-    cases
+    "codec-stress: %d round-trip cases, 20 corruption cases, %d hostile frames, %d hostile \
+     floats, 3 store scenarios, %d failures@."
+    cases (List.length hostile_frames)
     (List.length hostile_probs * 2)
     !failures;
   if !failures > 0 then exit 1

@@ -713,31 +713,48 @@ let test_integrate_many_mid_fold_atomicity () =
   check Alcotest.int "no fresh Oracle decisions on the cached rerun" decided0
     (count "oracle.decisions")
 
-(* Regression: a Decision_cache lookup must not re-traverse the subtree
-   pair (lookups used to structurally hash both trees on every probe).
-   Keys are built once, by interning; from then on a find is the key's
-   cached hash and two pointer checks, and never calls into the intern
-   pool — neither a hit nor a miss there. *)
+(* Keys are built once and carry their structural hash, so a probe never
+   re-hashes its trees; equality is as written. The keys a verdict was
+   stored under hit on a hash and a pointer check, fresh deep-equal copies
+   hash alike and hit, and trees that differ anywhere as written (a deep
+   leaf, an attribute, whitespace the canonical form would drop) miss. *)
 let test_decision_cache_hit_does_not_retraverse () =
-  let deep tag n =
-    let rec go i acc = if i = 0 then acc else go (i - 1) (Tree.element tag [ acc ]) in
-    go n (Tree.leaf "leaf" tag)
+  (* [deep ?leaf tag n] is [n] nested [tag] elements around a [leaf]
+     text, every string allocated afresh *)
+  let deep ?(leaf = "x") tag n =
+    let fresh s = Bytes.to_string (Bytes.of_string s) in
+    let rec go i acc = if i = 0 then acc else go (i - 1) (Tree.element (fresh tag) [ acc ]) in
+    go n (Tree.leaf (fresh "leaf") (fresh leaf))
   in
   let module Dc = Imprecise.Decision_cache in
   let a = Dc.key (deep "a" 300) and b = Dc.key (deep "b" 300) in
   let cache = Dc.create () in
   Dc.add cache a b (Imprecise.Oracle.Unsure 0.5);
-  let count name = Imprecise.Obs.Metrics.count (Imprecise.Obs.Metrics.counter name) in
-  let hits0 = count "pxml.intern.hit" and misses0 = count "pxml.intern.miss" in
+  let found a' b' =
+    match Dc.find cache a' b' with
+    | Some (Imprecise.Oracle.Unsure p) -> p = 0.5
+    | Some _ -> Alcotest.fail "wrong verdict"
+    | None -> false
+  in
   for _ = 1 to 100 do
-    match Dc.find cache a b with
-    | Some (Imprecise.Oracle.Unsure p) -> check (Alcotest.float 0.) "verdict" 0.5 p
-    | _ -> Alcotest.fail "repeat find missed"
+    check Alcotest.bool "repeat find hits" true (found a b)
   done;
-  check Alcotest.int "100 cache hits probed no intern pool (hits)" hits0
-    (count "pxml.intern.hit");
-  check Alcotest.int "100 cache hits interned nothing new (misses)" misses0
-    (count "pxml.intern.miss")
+  let a' = Dc.key (deep "a" 300) and b' = Dc.key (deep "b" 300) in
+  check Alcotest.int "fresh copies hash alike (left)" (Dc.key_hash a) (Dc.key_hash a');
+  check Alcotest.int "fresh copies hash alike (right)" (Dc.key_hash b) (Dc.key_hash b');
+  check Alcotest.bool "fresh deep-equal copies hit" true (found a' b');
+  check Alcotest.bool "a different deep leaf misses" false
+    (found (Dc.key (deep ~leaf:"y" "a" 300)) b);
+  check Alcotest.bool "one more attribute misses" false
+    (found a (Dc.key (Tree.element ~attrs:[ ("k", "v") ] "b" [ deep "b" 299 ])));
+  (* equal under Tree.equal's canonical form, different as written *)
+  let spaced =
+    Tree.element "b" [ Tree.text " "; Tree.leaf "leaf" "x"; Tree.text "\n" ]
+  and plain = Tree.element "b" [ Tree.leaf "leaf" "x" ] in
+  check Alcotest.bool "canonically equal" true (Tree.equal spaced plain);
+  Dc.add cache a (Dc.key plain) (Imprecise.Oracle.Unsure 0.5);
+  check Alcotest.bool "the raw tree hits" true (found a (Dc.key plain));
+  check Alcotest.bool "raw whitespace text misses" false (found a (Dc.key spaced))
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in

@@ -240,77 +240,6 @@ let test_prune_to_budget () =
     (Pxml.node_count tiny <= Pxml.node_count doc / 3);
   check Alcotest.bool "tiny output valid" true (Result.is_ok (Pxml.validate tiny))
 
-(* ---- interning --------------------------------------------------------------- *)
-
-let test_intern_sharing () =
-  let doc = random_doc 42 in
-  let interned = Imprecise.Intern.doc doc in
-  check Alcotest.bool "interning preserves structure" true (Pxml.equal doc interned);
-  let again = Imprecise.Intern.doc doc in
-  check Alcotest.bool "interning is stable (physically)" true (interned == again);
-  (* a structurally equal but freshly allocated copy interns to the same
-     physical document *)
-  let copy =
-    match Codec.of_string (Codec.to_string doc) with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "codec round-trip failed: %s" e
-  in
-  check Alcotest.bool "deep-equal copy shares the canonical form" true
-    (Imprecise.Intern.doc copy == interned);
-  check Alcotest.bool "distinct_nodes never exceeds node_count" true
-    (Imprecise.Intern.distinct_nodes interned <= Pxml.node_count doc)
-
-let test_intern_trees_pointer_equal () =
-  let tree = Tree.element "person" [ Tree.leaf "nm" "John"; Tree.leaf "tel" "1111" ] in
-  let copy = Tree.element "person" [ Tree.leaf "nm" "John"; Tree.leaf "tel" "1111" ] in
-  check Alcotest.bool "distinct allocations" true (tree != copy);
-  let a = Imprecise.Intern.tree tree and b = Imprecise.Intern.tree copy in
-  check Alcotest.bool "deep-equal trees intern to one pointer" true (a == b);
-  check Alcotest.bool "canonical form interns to itself" true (Imprecise.Intern.tree a == a);
-  check Alcotest.int "hashes agree" (snd (Imprecise.Intern.tree_hashed a))
-    (snd (Imprecise.Intern.tree_hashed copy));
-  check Alcotest.bool "deep_equal fast-paths to true" true (Tree.deep_equal a b)
-
-(* A person tree allocated afresh on every call: the phone number is built
-   at run time, so no two calls share a block. *)
-let fresh_person () =
-  Tree.element "person" [ Tree.leaf "nm" "Ida"; Tree.leaf "tel" (string_of_int 4242) ]
-
-(* Interns [n] fresh copies and keeps them only weakly. Not inlined, so no
-   copy stays reachable from this frame once it returns. *)
-let[@inline never] intern_weak_copies n =
-  let copies = Weak.create n in
-  for i = 0 to n - 1 do
-    let c = fresh_person () in
-    ignore (Imprecise.Intern.tree c);
-    Weak.set copies i (Some c)
-  done;
-  copies
-
-(* Regression: interning pins nothing. The pools hold their canonical
-   values weakly, and nothing else remembers which trees went in, so once
-   the caller drops a non-canonical copy the GC takes it. *)
-let test_intern_pins_nothing () =
-  let canonical = Imprecise.Intern.tree (fresh_person ()) in
-  let copies = intern_weak_copies 1000 in
-  Gc.full_major ();
-  let pinned = ref 0 in
-  for i = 0 to Weak.length copies - 1 do
-    match Weak.get copies i with Some c when c != canonical -> incr pinned | _ -> ()
-  done;
-  check Alcotest.int "non-canonical copies still alive after a full major GC" 0 !pinned;
-  (* deep-equal fresh copies still meet in the pool, and key the decision
-     cache alike *)
-  let a = fresh_person () and b = fresh_person () in
-  let key = Imprecise.Decision_cache.key in
-  check Alcotest.int "decision-cache keys hash alike"
-    (Imprecise.Decision_cache.key_hash (key a))
-    (Imprecise.Decision_cache.key_hash (key b));
-  check Alcotest.bool "both copies intern to one pointer" true
-    (Imprecise.Intern.tree a == Imprecise.Intern.tree b);
-  check Alcotest.bool "the canonical form is the one kept alive" true
-    (Imprecise.Intern.tree a == canonical)
-
 (* ---- codec ------------------------------------------------------------------ *)
 
 let test_codec_roundtrip_fig2 () =
@@ -378,12 +307,6 @@ let suite =
         q prop_compact_never_grows;
         q prop_compact_valid;
         t "prune_to_budget meets node and world budgets" test_prune_to_budget;
-      ] );
-    ( "pxml.intern",
-      [
-        t "doc interning shares deep-equal subtrees" test_intern_sharing;
-        t "tree interning yields pointer equality" test_intern_trees_pointer_equal;
-        t "interning pins nothing" test_intern_pins_nothing;
       ] );
     ( "pxml.codec",
       [

@@ -148,6 +148,24 @@ let check_experiment ~file experiments name =
     | Some (Obs.Json.Int n) when n > 0 -> ()
     | _ -> fail "%s: analyze.plan has no observations — planner untimed?" ctx
   end;
+  (* every feedback assertion of the structural-feedback experiment must
+     have gone direct, and each posterior must give the asserted value
+     probability 1 (or 0) to within 1e-9 *)
+  if name = "feedback_direct" then begin
+    positive "feedback.path.direct";
+    positive "bench.feedback_posteriors_checked";
+    let count counter =
+      match Obs.Json.member counter counters with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> fail "%s: counter %S is not an integer" ctx counter
+    in
+    if count "feedback.path.enumerate" <> 0 then
+      fail "%s: %d feedback call(s) enumerated worlds" ctx (count "feedback.path.enumerate");
+    if count "bench.feedback_posteriors_exact" <> count "bench.feedback_posteriors_checked" then
+      fail "%s: %d of %d posteriors miss the asserted probability by more than 1e-9" ctx
+        (count "bench.feedback_posteriors_checked" - count "bench.feedback_posteriors_exact")
+        (count "bench.feedback_posteriors_checked")
+  end;
   (* the binary-store experiment must actually have written binary frames,
      and decoding them must beat parsing the equivalent XML by >= 2x at the
      median (the whole point of the v3 format) *)

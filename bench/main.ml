@@ -215,9 +215,12 @@ let quality () =
 
 let feedback () =
   section "Extension - the feedback loop (ref [4]; unimplemented in the paper)";
-  (* Feedback that is decidable at a single probability node prunes the
-     database in place (the paper's "remove data related to impossible
-     worlds"); correlated evidence falls back to exact conditioning. *)
+  (* Count-based feedback is outside the direct fragment, so these prunes
+     take the enumeration route: one hypothetical rank per possibility of
+     every probability node, deleting those that make the assertion
+     certainly false (the paper's "remove data related to impossible
+     worlds"). Fragment queries prune and condition structurally; see
+     [feedback_direct]. *)
   let wl = Data.Workloads.typical () in
   let doc =
     integrate_or_fail ~rules:Rulesets.full ~dtd:wl.dtd (Data.Workloads.mpeg7_doc wl)
@@ -253,6 +256,81 @@ let feedback () =
     "feedback removed the data of impossible worlds: %d -> %d nodes, certain: %b\n"
     (node_count doc) (node_count final)
     (Pxml.is_certain final)
+
+(* ---- feedback on Direct's emission walk -------------------------------------------- *)
+
+let posteriors_checked = Obs.Metrics.counter "bench.feedback_posteriors_checked"
+
+let posteriors_exact = Obs.Metrics.counter "bench.feedback_posteriors_exact"
+
+let feedback_direct () =
+  section "Feedback without world enumeration - conditioning and pruning on the emission walk";
+  (* The two ends of the session benchmark's feedback documents: Figure 5's
+     n = 40 document under every movie rule (17.7k nodes, 240 worlds) and
+     a 64-world one. Each assertion targets an uncertain answer. *)
+  let doc rules n =
+    let wl = Data.Workloads.figure5 ~n_imdb:n in
+    integrate_or_fail ~rules ~dtd:wl.dtd (Data.Workloads.mpeg7_doc wl) (Data.Workloads.imdb_doc wl)
+  in
+  let prob doc query value =
+    match List.find_opt (fun (a : Answer.t) -> a.Answer.value = value) (rank doc query) with
+    | Some a -> a.Answer.prob
+    | None -> 0.
+  in
+  let best n f =
+    let r = ref None and best = ref infinity in
+    for _ = 1 to n do
+      let v, t = time f in
+      r := Some v;
+      best := Float.min !best t
+    done;
+    (Option.get !r, !best *. 1000.)
+  in
+  Printf.printf "%-28s %-17s %-16s %6s %7s %8s %8s\n" "document" "query" "value" "P" "op" "ms"
+    "nodes";
+  List.iter
+    (fun (label, doc, runs) ->
+      let query, value, p =
+        match
+          List.concat_map
+            (fun q ->
+              List.filter_map
+                (fun (a : Answer.t) ->
+                  if a.Answer.prob > 0.02 && a.Answer.prob < 0.98 then
+                    Some (q, a.Answer.value, a.Answer.prob)
+                  else None)
+                (rank doc q))
+            [ "//movie/director"; "//movie/title" ]
+        with
+        | target :: _ -> target
+        | [] -> Fmt.failwith "[%s] %s has no uncertain answer" !in_experiment label
+      in
+      Printf.printf "%-28s %-17s %-16s %6.3f %7s %8s %8d\n" label query value p "input" "-"
+        (node_count doc);
+      List.iter
+        (fun (op, correct, f) ->
+          let posterior, ms = best runs (fun () -> f doc ~query ~value ~correct) in
+          let posterior = or_fail op Feedback.pp_error posterior in
+          Printf.printf "%-28s %-17s %-16s %6s %7s %8.2f %8d\n" "" "" "" "" op ms
+            (node_count posterior);
+          if op <> "prune" then begin
+            Obs.Metrics.incr posteriors_checked;
+            let want = if correct then 1. else 0. in
+            if Float.abs (prob posterior query value -. want) <= 1e-9 then
+              Obs.Metrics.incr posteriors_exact
+          end)
+        [
+          ("assert", true, fun doc -> Feedback.assert_answer doc);
+          ("deny", false, fun doc -> Feedback.assert_answer doc);
+          ("prune", true, fun doc -> Feedback.prune doc);
+        ])
+    [
+      ("figure5-40, full rules", doc Rulesets.full 40, 5);
+      ("figure5-5, genre+title+year", doc (Rulesets.movie ~genre:true ~title:true ~year:true ()) 5, 15);
+    ];
+  Printf.printf
+    "(best of 5 / 15 runs; assert and deny condition on the value being / not being an\n\
+     answer, prune deletes the possibilities that contradict it being one)\n"
 
 (* ---- ablations --------------------------------------------------------------------- *)
 
@@ -998,6 +1076,7 @@ let experiments =
     ("pquery_direct_wide", pquery_direct_wide);
     ("quality", quality);
     ("feedback", feedback);
+    ("feedback_direct", feedback_direct);
     ("reduction", reduction);
     ("sampling", sampling);
     ("threshold", threshold);

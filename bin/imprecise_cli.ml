@@ -557,7 +557,7 @@ let feedback_cmd =
     Arg.(value & flag & info [ "incorrect" ] ~doc:"Assert the value is NOT a correct answer (default: it is).")
   in
   let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Exact Bayesian conditioning (rebuilds the document) instead of in-place pruning.")
+    Arg.(value & flag & info [ "exact" ] ~doc:"Exact Bayesian conditioning (the full posterior) instead of in-place pruning. Queries in the direct fragment are conditioned on the document's structure, without enumerating worlds; other queries enumerate them.")
   in
   Cmd.v
     (Cmd.info "feedback"

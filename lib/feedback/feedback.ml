@@ -3,12 +3,51 @@ module Pxml = Imprecise_pxml.Pxml
 module Worlds = Imprecise_pxml.Worlds
 module Compact = Imprecise_pxml.Compact
 module Naive = Imprecise_pquery.Naive
+module Direct = Imprecise_pquery.Direct
+module Obs = Imprecise_obs.Obs
 
-type error = Too_many_worlds of float | Contradiction
+type error = Too_many_worlds of float | Contradiction | Bad_query of string
 
 let pp_error ppf = function
   | Too_many_worlds n -> Fmt.pf ppf "document has %g worlds; too many to condition" n
   | Contradiction -> Fmt.string ppf "assertion has probability 0 in this document"
+  | Bad_query msg -> Fmt.pf ppf "query parse error: %s" msg
+
+let c_direct = Obs.Metrics.counter "feedback.path.direct"
+
+let c_enumerate = Obs.Metrics.counter "feedback.path.enumerate"
+
+let parsed query k =
+  match Imprecise_xpath.Parser.parse query with
+  | Error msg -> Error (Bad_query msg)
+  | Ok expr -> k expr
+
+(* Every query in Direct's fragment takes the structural route: one walk of
+   the document, no world enumeration. Anything else — count(...), or the
+   data-dependent P005/P006 rejections — enumerates, as [Pquery.rank]'s
+   [Auto] would. A returned error is the op's outcome. *)
+let routed op ~query ~direct ~enumerate =
+  Obs.Trace.op op ~detail:query @@ fun () ->
+  let result =
+    parsed query @@ fun expr ->
+    let path counter name =
+      Obs.Metrics.incr counter;
+      Obs.Trace.note "path" (Obs.Json.String name)
+    in
+    match direct expr with
+    | posterior -> (
+        path c_direct "direct";
+        match posterior with
+        | Some doc -> Ok (Compact.compact doc)
+        | None -> Error Contradiction)
+    | exception Direct.Unsupported _ ->
+        path c_enumerate "enumerate";
+        enumerate expr
+  in
+  (match result with
+  | Error e -> Obs.Trace.outcome (Fmt.str "error:%a" pp_error e)
+  | Ok _ -> ());
+  result
 
 let condition ?(limit = 200_000.) doc keep =
   let combos = Pxml.world_count doc in
@@ -27,10 +66,12 @@ let condition ?(limit = 200_000.) doc keep =
   end
 
 let assert_answer ?limit doc ~query ~value ~correct =
-  let expr = Imprecise_xpath.Parser.parse_exn query in
-  condition ?limit doc (fun forest ->
-      let present = List.mem value (Naive.answer_in_world forest expr) in
-      present = correct)
+  routed "feedback.assert" ~query
+    ~direct:(fun expr -> Direct.condition doc expr ~value ~present:correct)
+    ~enumerate:(fun expr ->
+      condition ?limit doc (fun forest ->
+          let present = List.mem value (Naive.answer_in_world forest expr) in
+          present = correct))
 
 let certainty ?(limit = 200_000.) doc =
   let combos = Pxml.world_count doc in
@@ -45,7 +86,7 @@ let certainty ?(limit = 200_000.) doc =
 type step = { choice : int; node : int; dist : int }
 
 let rec dist_paths prefix (d : Pxml.dist) acc =
-  let acc = (List.rev prefix, d) :: acc in
+  let acc = List.rev prefix :: acc in
   List.fold_left
     (fun acc (ci, (c : Pxml.choice)) ->
       List.fold_left
@@ -64,6 +105,18 @@ let rec dist_paths prefix (d : Pxml.dist) acc =
     (List.mapi (fun i c -> (i, c)) d.Pxml.choices)
 
 let nth_opt = List.nth_opt
+
+(* The probability node at [path] in the document as it is now. *)
+let rec dist_at (d : Pxml.dist) = function
+  | [] -> Some d
+  | s :: rest -> (
+      match nth_opt d.Pxml.choices s.choice with
+      | None -> None
+      | Some c -> (
+          match nth_opt c.Pxml.nodes s.node with
+          | Some (Pxml.Elem (_, _, content)) ->
+              Option.bind (nth_opt content s.dist) (fun d -> dist_at d rest)
+          | None | Some (Pxml.Text _) -> None))
 
 (* Rebuild the document with the probability node at [path] replaced; [None]
    when the path no longer exists (an earlier prune removed it). *)
@@ -100,9 +153,12 @@ let rec replace_dist (d : Pxml.dist) path (new_dist : Pxml.dist) : Pxml.dist opt
                       in
                       Some { Pxml.choices = choices' }))))
 
-let eps = 1e-9
+let eps = Direct.eps
 
-let prune ?(rounds = 2) doc ~query ~value ~correct =
+(* One hypothetical [Pquery.rank] per possibility of every probability
+   node, in two rounds. *)
+let prune_by_ranks doc ~query ~value ~correct =
+  parsed query @@ fun _ ->
   let module Pquery = Imprecise_pquery.Pquery in
   let module Answer = Imprecise_pquery.Answer in
   let answer_prob doc =
@@ -129,8 +185,12 @@ let prune ?(rounds = 2) doc ~query ~value ~correct =
     let changed = ref false in
     let doc = ref doc in
     List.iter
-      (fun (path, (d : Pxml.dist)) ->
-        if List.length d.Pxml.choices > 1 then begin
+      (fun path ->
+        (* the node as earlier prunes of this round left it, not as the
+           round found it: writing back stale choices would undo the
+           prunes below it *)
+        match dist_at !doc path with
+        | Some d when List.length d.Pxml.choices > 1 ->
           let kept =
             List.filter (fun c -> not (choice_impossible !doc path c)) d.Pxml.choices
           in
@@ -146,13 +206,13 @@ let prune ?(rounds = 2) doc ~query ~value ~correct =
                 changed := true
             | None -> ()
           end
-        end)
+        | Some _ | None -> ())
       (* Deepest first: pruning a probability node renumbers choices inside
          it, which would invalidate paths routing through it — its
          descendants are therefore handled before it, and sibling subtrees
          are unaffected. *)
       (List.sort
-         (fun (p1, _) (p2, _) -> Int.compare (List.length p2) (List.length p1))
+         (fun p1 p2 -> Int.compare (List.length p2) (List.length p1))
          (dist_paths [] !doc []));
     (!doc, !changed)
   in
@@ -169,4 +229,9 @@ let prune ?(rounds = 2) doc ~query ~value ~correct =
   match answer_prob doc with
   | Some p when (correct && p <= eps) || ((not correct) && p >= 1. -. eps) ->
       Error Contradiction
-  | _ -> go rounds doc
+  | _ -> go 2 doc
+
+let prune doc ~query ~value ~correct =
+  routed "feedback.prune" ~query
+    ~direct:(fun expr -> Direct.prune doc expr ~value ~present:correct)
+    ~enumerate:(fun _ -> prune_by_ranks doc ~query ~value ~correct)

@@ -51,3 +51,45 @@ val rank_expr : ?local_limit:float -> Pxml.doc -> Ast.expr -> Answer.t list
 
 (** [supported expr] checks the query class without evaluating. *)
 val supported : Ast.expr -> bool
+
+(** {1 Feedback on the emission walk}
+
+    The walk behind {!rank} is a decomposable circuit over the document's
+    independent choices, so an assertion about one value can be
+    conditioned on, or pruned by, folds over that same walk — no world is
+    enumerated. Both raise {!Unsupported} exactly when {!rank_expr} does
+    at its default [local_limit]. *)
+
+(** [condition doc expr ~value ~present] is the exact posterior of [doc]
+    given that [value] is ([present]) or is not in [expr]'s answer; [None]
+    when that event has probability 0 (decided exactly, by possibility, not
+    by a float threshold). Untouched subtrees are shared with [doc]; an
+    occurrence whose emission of [value] is uncertain gets one probability
+    node over its local worlds on the asserted side (tag and attributes
+    kept); a sequence that can emit [value] in several places splits by the
+    first place that does, as choices of the enclosing probability node.
+    Not compacted. *)
+val condition :
+  Pxml.doc ->
+  Ast.expr ->
+  value:string ->
+  present:bool ->
+  Pxml.doc option
+
+(** The tolerance of "(about) certainly false" in {!prune}: [1e-9]. *)
+val eps : float
+
+(** [prune doc expr ~value ~present] deletes every possibility whose
+    forcing makes the assertion (about) certainly false — [P(value) <= eps]
+    when asserted present, [>= 1 - eps] when asserted absent — and
+    renormalises the probability nodes it touched. The hypothetical
+    probabilities of all possibilities come from one inside/outside pass
+    (local worlds for probability nodes inside an occurrence). [None] when
+    the assertion itself is about certainly false, or a probability node
+    would lose every possibility. Not compacted. *)
+val prune :
+  Pxml.doc ->
+  Ast.expr ->
+  value:string ->
+  present:bool ->
+  Pxml.doc option

@@ -167,6 +167,98 @@ let test_prune_count_feedback () =
   in
   check (Alcotest.float 0.) "two worlds after" 2. (Pxml.world_count doc)
 
+(* ---- routes, typed errors ------------------------------------------------------ *)
+
+let test_bad_query () =
+  (* a query that does not parse is a typed error on both entry points,
+     not a stray exception *)
+  let check_bad what = function
+    | Error (Feedback.Bad_query msg) ->
+        check Alcotest.bool (what ^ " names the parse error") true (msg <> "")
+    | Ok _ -> Alcotest.failf "%s accepted a query that does not parse" what
+    | Error e -> Alcotest.failf "%s: wrong error: %a" what Feedback.pp_error e
+  in
+  check_bad "assert_answer"
+    (Feedback.assert_answer fig2 ~query:"//movie[" ~value:"x" ~correct:true);
+  check_bad "prune" (Feedback.prune fig2 ~query:"//movie[" ~value:"x" ~correct:false)
+
+let test_error_outcomes () =
+  (* a returned error is the op's outcome, as for integrate and store *)
+  let module Obs = Imprecise.Obs in
+  Obs.Event.enable ~capacity:64 ();
+  Fun.protect ~finally:Obs.Event.disable @@ fun () ->
+  ignore (Feedback.assert_answer fig2 ~query:"//person/nm" ~value:"John" ~correct:false);
+  ignore (Feedback.prune fig2 ~query:"//movie[" ~value:"x" ~correct:false);
+  ignore (Feedback.assert_answer fig2 ~query:"//person/tel" ~value:"1111" ~correct:true);
+  let outcomes =
+    List.filter_map
+      (fun (ev : Obs.Event.t) ->
+        match Obs.Event.field "outcome" ev with
+        | Some (Obs.Json.String o) -> Some (ev.Obs.Event.name, o)
+        | _ -> None)
+      (Obs.Event.recent ())
+  in
+  let starts prefix (name, o) =
+    (name, String.length o >= String.length prefix && String.sub o 0 (String.length prefix) = prefix)
+  in
+  check
+    Alcotest.(list (pair string bool))
+    "outcomes"
+    [ ("feedback.assert", true); ("feedback.prune", true); ("feedback.assert", true) ]
+    (List.map2 starts
+       [ "error:assertion has probability 0"; "error:query parse error"; "ok" ]
+       outcomes)
+
+let test_routes () =
+  (* fragment queries take the structural route, count(...) enumerates;
+     one bump per assert or prune *)
+  let module M = Imprecise.Obs.Metrics in
+  let direct = M.counter "feedback.path.direct" and enumerate = M.counter "feedback.path.enumerate" in
+  let d0 = M.count direct and e0 = M.count enumerate in
+  ignore (get (Feedback.assert_answer fig2 ~query:"//person/tel" ~value:"1111" ~correct:true));
+  ignore (get (Feedback.prune fig2 ~query:"//person/tel" ~value:"2222" ~correct:false));
+  check Alcotest.int "two direct" 2 (M.count direct - d0);
+  ignore (get (Feedback.prune fig2 ~query:"count(//person)" ~value:"2" ~correct:true));
+  check Alcotest.int "one enumerated" 1 (M.count enumerate - e0);
+  check Alcotest.int "still two direct" 2 (M.count direct - d0)
+
+let test_posterior_shares_untouched () =
+  (* the structural posterior carries subtrees the assertion cannot touch
+     over by pointer: Mary, in a content dist of her own *)
+  let leaf tag v = Pxml.elem tag [ Pxml.certain [ Pxml.text v ] ] in
+  let person nm tel = Pxml.elem "person" [ Pxml.certain [ leaf "nm" nm; leaf "tel" tel ] ] in
+  let mary = person "Mary" "3333" in
+  let john tel = Pxml.choice ~prob:0.5 [ person "John" tel ] in
+  let doc =
+    Pxml.certain
+      [ Pxml.elem "addressbook" [ Pxml.certain [ mary ]; Pxml.dist [ john "1111"; john "2222" ] ] ]
+  in
+  let expr = Imprecise.Xpath.Parser.parse_exn "//person/tel" in
+  match Imprecise_pquery.Direct.condition doc expr ~value:"1111" ~present:true with
+  | Some
+      {
+        Pxml.choices =
+          [ { nodes = [ Pxml.Elem (_, _, [ { choices = [ { nodes = [ m ]; _ } ] }; _ ]) ]; _ } ];
+      } ->
+      check Alcotest.bool "Mary shared" true (m == mary)
+  | _ -> Alcotest.fail "unexpected posterior shape"
+
+let test_prune_reaches_fixpoint () =
+  (* "zz" needs the outer, middle and inner choices at once, so each of
+     the three probability nodes loses a possibility. Pruning an ancestor
+     must not write its stale choices back over the prunes below it: on
+     both routes only the one world that contains zz may remain. *)
+  let leaf tag v = Pxml.elem tag [ Pxml.certain [ Pxml.text v ] ] in
+  let either p a b = Pxml.dist [ Pxml.choice ~prob:p a; Pxml.choice ~prob:(1. -. p) b ] in
+  let inner = either 0.5 [ leaf "b" "zz" ] [ leaf "c" "y" ] in
+  let middle = either 0.6 [] [ Pxml.elem "a" [ inner ] ] in
+  let doc = Pxml.certain [ Pxml.elem "root" [ either 0.5 [] [ Pxml.elem "a" [ middle ] ] ] ] in
+  List.iter
+    (fun query ->
+      let pruned = get (Feedback.prune doc ~query ~value:"zz" ~correct:true) in
+      check Alcotest.bool (query ^ ": certain") true (Pxml.is_certain pruned))
+    [ "//a/b"; "//a/b | //a/b" ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let q p = QCheck_alcotest.to_alcotest p in
@@ -188,5 +280,13 @@ let suite =
         t "pruning detects contradictions" test_prune_contradiction;
         t "pruning preserves the conditioned support" test_prune_preserves_support;
         t "count-based feedback resolves matchings" test_prune_count_feedback;
+        t "pruning reaches its fixpoint on both routes" test_prune_reaches_fixpoint;
+      ] );
+    ( "feedback.route",
+      [
+        t "a bad query is a typed error" test_bad_query;
+        t "a returned error is the op's outcome" test_error_outcomes;
+        t "fragment queries go direct, count(...) enumerates" test_routes;
+        t "the posterior shares untouched subtrees" test_posterior_shares_untouched;
       ] );
   ]

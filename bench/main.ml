@@ -196,9 +196,9 @@ let quality () =
           let r = Quality.probabilistic_recall answers ~truth in
           let f = Quality.f_measure answers ~truth in
           let entropy =
-            if world_count doc <= 200_000. then
-              Printf.sprintf "%.1f b" (Quality.world_entropy doc)
-            else "-"
+            match Quality.world_entropy doc with
+            | Ok h -> Printf.sprintf "%.1f b" h
+            | Error _ -> "-"
           in
           Printf.printf "%-28s %10.3f %10.3f %10.3f %10s\n" rs.name p r f entropy)
     [

@@ -14,12 +14,15 @@ open Imprecise
 
 (* ---- shared argument handling --------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Bodies return their exit code; [die] is their one error path. *)
+exception Die of string
+
+let die fmt = Fmt.kstr (fun msg -> raise (Die msg)) fmt
+
+let or_die = function Ok v -> v | Error msg -> raise (Die msg)
+
+(* [valid f] is [f ()], with its [Invalid_argument] a [die]. *)
+let valid f = try f () with Invalid_argument msg -> raise (Die msg)
 
 (* A document file is either plain XML or a pxml-encoded probabilistic
    document (recognised by its p:prob root). *)
@@ -30,31 +33,30 @@ let load_doc path : (Pxml.doc, string) result =
       if Tree.name tree = Some Codec.prob_tag then Codec.decode tree
       else Ok (Pxml.doc_of_tree tree)
 
-let load_certain path : (Tree.t, string) result =
-  Result.map_error
-    (fun e -> Fmt.str "%s: %s" path (Xml.Parser.error_to_string e))
-    (Xml.Parser.parse_file path)
-
-let rules_of_string s : (Rulesets.t, string) result =
-  match s with
-  | "none" | "generic" -> Ok Rulesets.generic
-  | "full" -> Ok Rulesets.full
-  | s ->
-      let flags = String.split_on_char ',' s in
-      let known = [ "genre"; "title"; "year"; "director" ] in
-      let bad = List.filter (fun f -> not (List.mem f known)) flags in
-      if bad <> [] then
-        Error
-          (Fmt.str "unknown rule(s) %s; expected none, full, or a comma-list of %s"
-             (String.concat ", " bad) (String.concat ", " known))
-      else
-        let has f = List.mem f flags in
-        Ok
-          (Rulesets.movie ~genre:(has "genre") ~title:(has "title") ~year:(has "year")
-             ~director:(has "director") ())
+let load_certain path =
+  match Xml.Parser.parse_file path with
+  | Ok tree -> tree
+  | Error e -> die "%s: %s" path (Xml.Parser.error_to_string e)
 
 let rules_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (rules_of_string s) in
+  let parse = function
+    | "none" | "generic" -> Ok Rulesets.generic
+    | "full" -> Ok Rulesets.full
+    | s ->
+        let flags = String.split_on_char ',' s in
+        let known = [ "genre"; "title"; "year"; "director" ] in
+        let bad = List.filter (fun f -> not (List.mem f known)) flags in
+        if bad <> [] then
+          Error
+            (`Msg
+              (Fmt.str "unknown rule(s) %s; expected none, full, or a comma-list of %s"
+                 (String.concat ", " bad) (String.concat ", " known)))
+        else
+          let has f = List.mem f flags in
+          Ok
+            (Rulesets.movie ~genre:(has "genre") ~title:(has "title") ~year:(has "year")
+               ~director:(has "director") ())
+  in
   let print ppf (r : Rulesets.t) = Fmt.string ppf r.name in
   Arg.conv (parse, print)
 
@@ -77,9 +79,11 @@ let dtd_arg =
            reject impossible worlds during integration.")
 
 let load_dtd = function
-  | None -> Ok Dtd.empty
-  | Some path -> Result.map_error (fun e -> Fmt.str "%s: %s" path e) (Dtd.of_string (read_file path))
-
+  | None -> Dtd.empty
+  | Some path ->
+      or_die
+        (Result.map_error (Fmt.str "%s: %s" path)
+           (Dtd.of_string (In_channel.with_open_bin path In_channel.input_all)))
 
 let output_arg =
   Arg.(
@@ -94,21 +98,25 @@ let write_output doc = function
       Xml.Printer.to_file ~decl:true ~indent:2 path (Codec.encode doc);
       Fmt.pr "wrote %s@." path
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      Fmt.epr "imprecise: %s@." msg;
-      exit 1
+(* The positionals DOC, QUERY and VALUE, shared by every command that
+   reads a document (check takes its DOC as optional). *)
+let doc_pos = Arg.(pos 0 (some file) None (info [] ~docv:"DOC.xml"))
 
-let die fmt = Fmt.kstr (fun msg -> or_die (Error msg)) fmt
+let doc_arg = Arg.required doc_pos
+
+let query_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY")
+
+let value_arg = Arg.(required & pos 2 (some string) None & info [] ~docv:"VALUE")
+
+(* One line per world: its probability, then its forest as XML. *)
+let print_worlds ?(indent = "") ?(digits = 4) worlds =
+  List.iter
+    (fun (p, forest) ->
+      Fmt.pr "%s%.*f  %s@." indent digits p
+        (String.concat "" (List.map (fun t -> Xml.Printer.to_string t) forest)))
+    worlds
 
 (* ---- telemetry -------------------------------------------------------------- *)
-
-type telemetry = {
-  trace : bool;  (* span tree + metrics snapshot to stderr *)
-  trace_out : string option;  (* Chrome trace-event JSON file *)
-  events_out : string option;  (* JSONL structured-event file *)
-}
 
 let trace_arg =
   Arg.(
@@ -137,19 +145,13 @@ let events_out_arg =
            budget trips, degradations, per-op records) to $(docv) as JSON lines; \
            aggregate afterwards with $(b,imprecise report).")
 
-let telemetry_term =
-  Term.(
-    const (fun trace trace_out events_out -> { trace; trace_out; events_out })
-    $ trace_arg $ trace_out_arg $ events_out_arg)
-
-(* The report runs once, as a [Fun.protect] finaliser for exceptions and
-   via [at_exit] for the subcommands (doctor, validate, …) that [exit]
-   mid-body — [Stdlib.exit] does not unwind [Fun.protect]. Spans still
-   open at a hard [exit] are simply not reported. Tracing is installed for
-   any of the three outputs: the event stream wants span ids on its events
-   even when nobody asked for the span tree itself. *)
-let with_telemetry t f =
-  if not (t.trace || t.trace_out <> None || t.events_out <> None) then f ()
+(* The body runs inside, so the report runs once, after it, whatever its
+   outcome. Tracing is installed for any of the three outputs: the event
+   stream wants span ids on its events even when nobody asked for the span
+   tree itself. *)
+let with_telemetry trace trace_out events_out body =
+  let run () = try body () with Die msg -> Fmt.epr "imprecise: %s@." msg; 1 in
+  if not (trace || trace_out <> None || events_out <> None) then run ()
   else begin
     let sink, roots = Obs.Trace.collector () in
     Obs.Trace.install sink;
@@ -159,36 +161,39 @@ let with_telemetry t f =
           let oc = open_out path in
           Obs.Event.enable ~sink:(Obs.Event.jsonl_sink oc) ();
           oc)
-        t.events_out
+        events_out
     in
-    let reported = ref false in
     let report () =
-      if not !reported then begin
-        reported := true;
-        Obs.Trace.uninstall ();
-        let spans = roots () in
-        (match events_oc with
-        | Some oc ->
-            Obs.Event.disable ();
-            close_out oc
-        | None -> ());
-        (match t.trace_out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Obs.Json.to_string (Obs.Trace.to_chrome spans));
-            output_char oc '\n';
-            close_out oc
-        | None -> ());
-        if t.trace then begin
-          Fmt.epr "--- trace spans ---@.";
-          List.iter (fun s -> Fmt.epr "%s" (Obs.Trace.to_text s)) spans;
-          Fmt.epr "--- metrics ---@.%s@?" (Obs.Metrics.to_text (Obs.Metrics.snapshot ()))
-        end
+      Obs.Trace.uninstall ();
+      let spans = roots () in
+      Option.iter
+        (fun oc ->
+          Obs.Event.disable ();
+          close_out oc)
+        events_oc;
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Obs.Json.to_string (Obs.Trace.to_chrome spans));
+              output_char oc '\n'))
+        trace_out;
+      if trace then begin
+        Fmt.epr "--- trace spans ---@.";
+        List.iter (fun s -> Fmt.epr "%s" (Obs.Trace.to_text s)) spans;
+        Fmt.epr "--- metrics ---@.%s@?" (Obs.Metrics.to_text (Obs.Metrics.snapshot ()))
       end
     in
-    at_exit report;
-    Fun.protect ~finally:report f
+    Fun.protect ~finally:report run
   end
+
+(* The one command constructor; [body] returns the exit code. [report]
+   only reads a log, so it is not [traced] and has no telemetry flags. *)
+let command ?(traced = true) name ~doc body =
+  let telemetry =
+    if traced then Term.(const with_telemetry $ trace_arg $ trace_out_arg $ events_out_arg)
+    else Term.const (with_telemetry false None None)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(telemetry $ body)
 
 (* ---- resilience -------------------------------------------------------------- *)
 
@@ -212,21 +217,16 @@ let max_worlds_arg =
           "Work budget: at most $(docv) enumerated worlds / grid cells before the \
            command degrades (query) or stops with a budget error (integrate, stats).")
 
-let budget_of timeout_ms max_worlds =
-  match (timeout_ms, max_worlds) with
-  | None, None -> None
-  | _ -> (
-      try Some (Resilience.Budget.create ?timeout_ms ?max_worlds ())
-      with Invalid_argument msg -> or_die (Error msg))
+(* Created when the body asks, so the deadline starts with the heavy work. *)
+let budget_term =
+  let budget_of timeout_ms max_worlds () =
+    match (timeout_ms, max_worlds) with
+    | None, None -> None
+    | _ -> Some (valid (Resilience.Budget.create ?timeout_ms ?max_worlds))
+  in
+  Term.(const budget_of $ timeout_arg $ max_worlds_arg)
 
-let resilience_totals () =
-  let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
-  ( count "resilience.retries",
-    count "resilience.retry_giveups",
-    count "resilience.deadline_exceeded",
-    count "pquery.degraded" )
-
-(* ---- blocking ---------------------------------------------------------------- *)
+(* ---- integration inputs: rules, DTD, blocker ------------------------------------ *)
 
 let blocker_name_arg =
   Arg.(
@@ -270,13 +270,6 @@ let block_q_arg =
     & opt int 2
     & info [ "block-q" ] ~docv:"Q" ~doc:"Gram length for $(b,--blocker qgram).")
 
-let blocker_term =
-  Term.(
-    const (fun name field threshold window q ->
-        or_die (Blocking.of_string ?field ~q ~threshold ~window name))
-    $ blocker_name_arg $ block_field_arg $ block_threshold_arg $ block_window_arg
-    $ block_q_arg)
-
 let infer_dtd_arg =
   Arg.(
     value & flag
@@ -286,46 +279,56 @@ let infer_dtd_arg =
            never repeat under a parent are treated as at-most-one. Combined with --dtd \
            if both are given (explicit declarations win).")
 
-let resolve_dtd ~infer dtd_file docs =
-  let explicit = or_die (load_dtd dtd_file) in
-  if not infer then explicit
-  else
-    let inferred = Dtd.infer docs in
-    (* explicit declarations override inferred ones *)
-    List.fold_left
-      (fun d (p, c, o) -> Dtd.declare d ~parent:p ~child:c o)
-      inferred (Dtd.declarations explicit)
+let factorize_arg =
+  Arg.(
+    value & flag
+    & info [ "factorize" ]
+        ~doc:"Store independent clusters locally (the compact, factorised representation).")
 
-let report_doc doc =
-  Fmt.pr "nodes: %d  world combinations: %g@." (node_count doc) (world_count doc)
+type integration = {
+  rules : Rulesets.t;
+  dtd : Dtd.t;
+  factorize : bool;
+  blocker : Blocking.spec;
+}
+
+(* What integrate and stats share: resolved against the loaded sources,
+   in the body, so a bad DTD file or blocker is a [die] there. *)
+let integration_term =
+  let resolve rules dtd_file infer factorize name field threshold window q docs =
+    let explicit = load_dtd dtd_file in
+    let dtd =
+      if not infer then explicit
+      else
+        (* explicit declarations override inferred ones *)
+        List.fold_left
+          (fun d (p, c, o) -> Dtd.declare d ~parent:p ~child:c o)
+          (Dtd.infer docs) (Dtd.declarations explicit)
+    in
+    let blocker = or_die (Blocking.of_string ?field ~q ~threshold ~window name) in
+    { rules; dtd; factorize; blocker }
+  in
+  Term.(
+    const resolve $ rules_arg $ dtd_arg $ infer_dtd_arg $ factorize_arg $ blocker_name_arg
+    $ block_field_arg $ block_threshold_arg $ block_window_arg $ block_q_arg)
 
 (* ---- integrate -------------------------------------------------------------- *)
 
 let integrate_cmd =
-  let run inputs rules dtd infer factorize jobs blocker timeout_ms max_worlds output
-      tele =
-    with_telemetry tele @@ fun () ->
-    (match inputs with
-    | _ :: _ :: _ -> ()
-    | _ ->
-        Fmt.epr "imprecise: integrate needs at least two documents@.";
-        exit 1);
-    let docs = List.map (fun p -> or_die (load_certain p)) inputs in
-    let dtd = resolve_dtd ~infer dtd docs in
-    let budget = budget_of timeout_ms max_worlds in
-    match integrate_many ~rules ~dtd ~factorize ~blocker ~jobs ?budget docs with
-    | Error e ->
-        Fmt.epr "imprecise: %a@." Integrate.pp_error e;
-        exit 1
+  let run inputs integration jobs budget output () =
+    if List.compare_length_with inputs 2 < 0 then
+      die "integrate needs at least two documents";
+    let docs = List.map load_certain inputs in
+    let { rules; dtd; factorize; blocker } = integration docs in
+    match integrate_many ~rules ~dtd ~factorize ~blocker ~jobs ?budget:(budget ()) docs with
+    | Error e -> die "%a" Integrate.pp_error e
     | Ok doc ->
-        report_doc doc;
-        write_output doc output
+        Fmt.pr "nodes: %d  world combinations: %g@." (node_count doc) (world_count doc);
+        write_output doc output;
+        0
   in
   let inputs =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"SOURCE.xml")
-  in
-  let factorize =
-    Arg.(value & flag & info [ "factorize" ] ~doc:"Store independent clusters locally (compact representation).")
   in
   let jobs =
     Arg.(
@@ -335,142 +338,110 @@ let integrate_cmd =
             "Score each candidate grid with $(docv) OCaml domains. Any $(docv) produces \
              a bit-identical result to sequential integration (see doc/integrate.md).")
   in
-  Cmd.v
-    (Cmd.info "integrate"
-       ~doc:
-         "Probabilistically integrate two or more XML documents. The first two are \
-          integrated directly; each further document is folded into the probabilistic \
-          result structurally, enumerating only the choice points it touches (no limit \
-          on the prior world count), reusing one Oracle decision cache across the \
-          whole batch.")
-    Term.(
-      const run $ inputs $ rules_arg $ dtd_arg $ infer_dtd_arg $ factorize $ jobs
-      $ blocker_term $ timeout_arg $ max_worlds_arg $ output_arg $ telemetry_term)
+  command "integrate"
+    ~doc:
+      "Probabilistically integrate two or more XML documents. The first two are \
+       integrated directly; each further document is folded into the probabilistic \
+       result structurally, enumerating only the choice points it touches (no limit \
+       on the prior world count), reusing one Oracle decision cache across the \
+       whole batch."
+    Term.(const run $ inputs $ integration_term $ jobs $ budget_term $ output_arg)
 
 (* ---- stats -------------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run left right rules dtd infer factorize blocker timeout_ms max_worlds tele =
-    with_telemetry tele @@ fun () ->
-    let a = or_die (load_certain left) and b = or_die (load_certain right) in
-    let dtd = resolve_dtd ~infer dtd [ a; b ] in
-    let budget = budget_of timeout_ms max_worlds in
-    match integration_stats ~rules ~dtd ~factorize ~blocker ?budget a b with
-    | Error e ->
-        Fmt.epr "imprecise: %a@." Integrate.pp_error e;
-        exit 1
-    | Ok s ->
+  let run left right integration budget () =
+    let a = load_certain left and b = load_certain right in
+    let { rules; dtd; factorize; blocker } = integration [ a; b ] in
+    match integration_stats ~rules ~dtd ~factorize ~blocker ?budget:(budget ()) a b with
+    | Error e -> die "%a" Integrate.pp_error e
+    | Ok { Integrate.nodes; worlds; trace = t } ->
         Fmt.pr "rules: %s@." rules.Rulesets.name;
         Fmt.pr "blocker: %s@." (Blocking.describe blocker);
-        Fmt.pr "nodes: %.0f@." s.Integrate.nodes;
-        Fmt.pr "world combinations: %g@." s.Integrate.worlds;
-        Fmt.pr "pairs generated: %d@." s.Integrate.trace.Integrate.pairs_generated;
-        Fmt.pr "pairs compared: %d (blocked: %d)@."
-          s.Integrate.trace.Integrate.pairs_compared
-          s.Integrate.trace.Integrate.pairs_blocked;
-        Fmt.pr "undecided pairs: %d@." s.Integrate.trace.Integrate.unsure_pairs;
-        Fmt.pr "forced matches: %d@." s.Integrate.trace.Integrate.same_pairs;
-        Fmt.pr "clusters: %d (largest enumeration: %d)@."
-          s.Integrate.trace.Integrate.cluster_count
-          s.Integrate.trace.Integrate.largest_enumeration;
-        let retries, giveups, deadlines, degraded = resilience_totals () in
+        Fmt.pr "nodes: %.0f@." nodes;
+        Fmt.pr "world combinations: %g@." worlds;
+        Fmt.pr "pairs generated: %d@." t.Integrate.pairs_generated;
+        Fmt.pr "pairs compared: %d (blocked: %d)@." t.pairs_compared t.pairs_blocked;
+        Fmt.pr "undecided pairs: %d@." t.unsure_pairs;
+        Fmt.pr "forced matches: %d@." t.same_pairs;
+        Fmt.pr "clusters: %d (largest enumeration: %d)@." t.cluster_count
+          t.largest_enumeration;
+        let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
         Fmt.pr "resilience: retries=%d giveups=%d deadline_exceeded=%d degraded=%d@."
-          retries giveups deadlines degraded
+          (count "resilience.retries") (count "resilience.retry_giveups")
+          (count "resilience.deadline_exceeded") (count "pquery.degraded");
+        0
   in
   let left = Arg.(required & pos 0 (some file) None & info [] ~docv:"LEFT.xml") in
   let right = Arg.(required & pos 1 (some file) None & info [] ~docv:"RIGHT.xml") in
-  let factorize = Arg.(value & flag & info [ "factorize" ] ~doc:"Measure the factorised representation.") in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Compute the size of an integration without materialising it (works far beyond \
-          what $(b,integrate) can build).")
-    Term.(
-      const run $ left $ right $ rules_arg $ dtd_arg $ infer_dtd_arg $ factorize
-      $ blocker_term $ timeout_arg $ max_worlds_arg $ telemetry_term)
+  command "stats"
+    ~doc:
+      "Compute the size of an integration without materialising it (works far beyond \
+       what $(b,integrate) can build)."
+    Term.(const run $ left $ right $ integration_term $ budget_term)
 
 (* ---- rules ---------------------------------------------------------------------- *)
 
 let rules_cmd =
-  let run tele =
-    with_telemetry tele @@ fun () ->
+  let run () =
     List.iter
       (fun (r : Rulesets.t) ->
         Fmt.pr "%-22s %s@." r.Rulesets.name r.Rulesets.description;
         List.iter (fun n -> Fmt.pr "    - %s@." n) (Oracle.rule_names r.Rulesets.oracle))
-      (Rulesets.table1 @ [ Rulesets.full ])
+      (Rulesets.table1 @ [ Rulesets.full ]);
+    0
   in
-  Cmd.v
-    (Cmd.info "rules" ~doc:"List the built-in Oracle rule presets and their rules.")
-    Term.(const run $ telemetry_term)
+  command "rules" ~doc:"List the built-in Oracle rule presets and their rules."
+    Term.(const run)
 
 (* ---- query --------------------------------------------------------------------- *)
 
-let strategy_names = [ "auto"; "direct"; "enumerate"; "sample" ]
+(* [answering f] is [f ()], a query that cannot be answered or parsed a [die] *)
+let answering f =
+  try f () with
+  | Pquery.Cannot_answer msg -> die "cannot answer: %s" msg
+  | Failure msg -> die "%s" msg
 
 let query_cmd =
-  let run path query strategy samples seed top_k timeout_ms max_worlds tele =
-    with_telemetry tele @@ fun () ->
+  let run path query strategy samples seed top_k budget () =
     let doc = or_die (load_doc path) in
-    let strategy =
+    let strategy, name =
       match strategy with
-      | "auto" -> Pquery.Auto
-      | "direct" -> Pquery.Direct_only
-      | "enumerate" -> Pquery.Enumerate_only
-      | "sample" -> Pquery.Sample { n = samples; seed }
-      | s ->
-          Fmt.epr "imprecise: unknown strategy %S (expected %s)@." s
-            (String.concat ", " strategy_names);
-          exit 1
+      | `Auto -> (Pquery.Auto, "auto")
+      | `Direct -> (Pquery.Direct_only, "direct")
+      | `Enumerate -> (Pquery.Enumerate_only, "enumerate")
+      | `Sample -> (Pquery.Sample { n = samples; seed }, "sample")
     in
-    (match top_k with
-    | Some k when k < 1 ->
-        Fmt.epr "imprecise: --top-k must be at least 1@.";
-        exit 1
-    | _ -> ());
-    let budget = budget_of timeout_ms max_worlds in
+    let budget = budget () in
     (* With a budget and the default strategy, answer through the
        degradation ladder: always an answer, graded by how approximate.
        An explicit strategy is honoured instead — there a blown budget is
        a clean error, not a silent strategy change. *)
-    match (budget, strategy) with
-    | Some _, Pquery.Auto -> (
-        match Pquery.rank_graded ?budget ?top_k doc query with
-        | { Resilience.Degrade.value; grade } ->
-            if not (Resilience.Degrade.is_exact grade) then
-              Fmt.epr "imprecise: budget exhausted, degraded answer: %a@."
-                Resilience.Degrade.pp_grade grade;
-            Fmt.pr "%a@?" Answer.pp value
-        | exception Failure msg ->
-            Fmt.epr "imprecise: %s@." msg;
-            exit 1)
-    | _ -> (
-        match Pquery.rank ?budget ~strategy ?top_k doc query with
-        | answers -> Fmt.pr "%a@?" Answer.pp answers
-        | exception Pquery.Cannot_answer msg ->
-            Fmt.epr "imprecise: cannot answer: %s@." msg;
-            exit 1
-        | exception Resilience.Budget.Exceeded reason ->
-            Fmt.epr
-              "imprecise: budget exceeded (%s) under --strategy %a; drop --strategy to \
-               degrade gracefully@."
-              (Resilience.Budget.reason_to_string reason)
-              (fun ppf -> function
-                | Pquery.Direct_only -> Fmt.string ppf "direct"
-                | Pquery.Enumerate_only -> Fmt.string ppf "enumerate"
-                | Pquery.Sample _ -> Fmt.string ppf "sample"
-                | Pquery.Auto -> Fmt.string ppf "auto")
-              strategy;
-            exit 1
-        | exception Failure msg ->
-            Fmt.epr "imprecise: %s@." msg;
-            exit 1)
+    match
+      answering @@ fun () ->
+      match (budget, strategy) with
+      | Some _, Pquery.Auto ->
+          let { Resilience.Degrade.value; grade } =
+            Pquery.rank_graded ?budget ?top_k doc query
+          in
+          if not (Resilience.Degrade.is_exact grade) then
+            Fmt.epr "imprecise: budget exhausted, degraded answer: %a@."
+              Resilience.Degrade.pp_grade grade;
+          value
+      | _ -> Pquery.rank ?budget ~strategy ?top_k doc query
+    with
+    | answers ->
+        Fmt.pr "%a@?" Answer.pp answers;
+        0
+    | exception Resilience.Budget.Exceeded reason ->
+        die "budget exceeded (%s) under --strategy %s; drop --strategy to degrade gracefully"
+          (Resilience.Budget.reason_to_string reason)
+          name
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
-  let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY") in
   let strategy =
+    let names = [ ("auto", `Auto); ("direct", `Direct); ("enumerate", `Enumerate); ("sample", `Sample) ] in
     Arg.(
-      value & opt string "auto"
+      value & opt (enum names) `Auto
       & info [ "strategy" ] ~docv:"STRATEGY"
           ~doc:"auto, direct, enumerate, or sample (Monte-Carlo estimate).")
   in
@@ -486,55 +457,43 @@ let query_cmd =
             "Report only the $(docv) most likely answers, stopping the enumeration \
              early once their order is provably final.")
   in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:
-         "Query a (probabilistic or plain) document; answers are ranked by the \
-          probability that they belong to the result.")
+  command "query"
+    ~doc:
+      "Query a (probabilistic or plain) document; answers are ranked by the \
+       probability that they belong to the result."
     Term.(
-      const run $ path $ query $ strategy $ samples $ seed $ top_k $ timeout_arg
-      $ max_worlds_arg $ telemetry_term)
+      const run $ doc_arg $ query_arg $ strategy $ samples $ seed $ top_k $ budget_term)
 
 (* ---- worlds -------------------------------------------------------------------- *)
 
 let worlds_cmd =
-  let run path limit top tele =
-    with_telemetry tele @@ fun () ->
+  let run path limit top () =
     let doc = or_die (load_doc path) in
-    let print (p, forest) =
-      Fmt.pr "%.4f  %s@." p
-        (String.concat "" (List.map (fun t -> Xml.Printer.to_string t) forest))
-    in
-    match top with
+    (match top with
     | Some k ->
         (* k-best works at any scale, no enumeration *)
-        List.iter print (Worlds.most_likely ~k doc)
+        print_worlds (Worlds.most_likely ~k doc)
     | None ->
         let combos = world_count doc in
-        if combos > float_of_int limit then begin
-          Fmt.epr
-            "imprecise: %g world combinations exceed --limit %d (hint: --top K works at any scale)@."
+        if combos > float_of_int limit then
+          die "%g world combinations exceed --limit %d (hint: --top K works at any scale)"
             combos limit;
-          exit 1
-        end;
-        List.iter print (Worlds.merged doc)
+        print_worlds (Worlds.merged doc));
+    0
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
   let limit =
     Arg.(value & opt int 10_000 & info [ "limit" ] ~docv:"N" ~doc:"Refuse to enumerate more than $(docv) combinations.")
   in
   let top =
     Arg.(value & opt (some int) None & info [ "top" ] ~docv:"K" ~doc:"Only the $(docv) most likely worlds (works on documents of any size).")
   in
-  Cmd.v
-    (Cmd.info "worlds" ~doc:"Enumerate the possible worlds of a probabilistic document.")
-    Term.(const run $ path $ limit $ top $ telemetry_term)
+  command "worlds" ~doc:"Enumerate the possible worlds of a probabilistic document."
+    Term.(const run $ doc_arg $ limit $ top)
 
 (* ---- feedback -------------------------------------------------------------------- *)
 
 let feedback_cmd =
-  let run path query value incorrect exact output tele =
-    with_telemetry tele @@ fun () ->
+  let run path query value incorrect exact output () =
     let doc = or_die (load_doc path) in
     let correct = not incorrect in
     let result =
@@ -542,64 +501,45 @@ let feedback_cmd =
       else Feedback.prune doc ~query ~value ~correct
     in
     match result with
-    | Error e ->
-        Fmt.epr "imprecise: %a@." Feedback.pp_error e;
-        exit 1
+    | Error e -> die "%a" Feedback.pp_error e
     | Ok doc' ->
         Fmt.pr "before: %d nodes, %g worlds@." (node_count doc) (world_count doc);
         Fmt.pr "after : %d nodes, %g worlds@." (node_count doc') (world_count doc');
-        write_output doc' output
+        write_output doc' output;
+        0
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
-  let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY") in
-  let value = Arg.(required & pos 2 (some string) None & info [] ~docv:"VALUE") in
   let incorrect =
     Arg.(value & flag & info [ "incorrect" ] ~doc:"Assert the value is NOT a correct answer (default: it is).")
   in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Exact Bayesian conditioning (the full posterior) instead of in-place pruning. Queries in the direct fragment are conditioned on the document's structure, without enumerating worlds; other queries enumerate them.")
   in
-  Cmd.v
-    (Cmd.info "feedback"
-       ~doc:"Assert that VALUE is a correct/incorrect answer of QUERY and remove the data of inconsistent worlds.")
-    Term.(const run $ path $ query $ value $ incorrect $ exact $ output_arg $ telemetry_term)
+  command "feedback"
+    ~doc:"Assert that VALUE is a correct/incorrect answer of QUERY and remove the data of inconsistent worlds."
+    Term.(const run $ doc_arg $ query_arg $ value_arg $ incorrect $ exact $ output_arg)
 
 (* ---- explain --------------------------------------------------------------------- *)
 
 let explain_cmd =
-  let run path query value k tele =
-    with_telemetry tele @@ fun () ->
+  let run path query value k () =
     let doc = or_die (load_doc path) in
-    match Pquery.explain ~k doc query value with
-    | e ->
-        Fmt.pr "P(%S in answer) = %.3f@." value e.Pquery.prob;
-        Fmt.pr "examined the %d most likely worlds (%.1f%% of the probability mass)@."
-          (List.length e.Pquery.supporting + List.length e.Pquery.opposing)
-          (100. *. e.Pquery.covered);
-        let show label worlds =
-          Fmt.pr "%s:@." label;
-          List.iter
-            (fun (p, forest) ->
-              Fmt.pr "  %.4f  %s@." p
-                (String.concat "" (List.map (fun t -> Xml.Printer.to_string t) forest)))
-            worlds
-        in
-        show "supporting worlds" e.Pquery.supporting;
-        show "opposing worlds" e.Pquery.opposing
-    | exception Pquery.Cannot_answer msg ->
-        Fmt.epr "imprecise: cannot answer: %s@." msg;
-        exit 1
+    let e = answering (fun () -> Pquery.explain ~k doc query value) in
+    Fmt.pr "P(%S in answer) = %.3f@." value e.Pquery.prob;
+    Fmt.pr "examined the %d most likely worlds (%.1f%% of the probability mass)@."
+      (List.length e.Pquery.supporting + List.length e.Pquery.opposing)
+      (100. *. e.Pquery.covered);
+    Fmt.pr "supporting worlds:@.";
+    print_worlds ~indent:"  " e.Pquery.supporting;
+    Fmt.pr "opposing worlds:@.";
+    print_worlds ~indent:"  " e.Pquery.opposing;
+    0
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
-  let query = Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY") in
-  let value = Arg.(required & pos 2 (some string) None & info [] ~docv:"VALUE") in
   let k = Arg.(value & opt int 6 & info [ "k" ] ~docv:"K" ~doc:"How many of the most likely worlds to examine.") in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:"Show the most likely worlds in which VALUE is (and is not) an answer of QUERY.")
-    Term.(const run $ path $ query $ value $ k $ telemetry_term)
+  command "explain"
+    ~doc:"Show the most likely worlds in which VALUE is (and is not) an answer of QUERY."
+    Term.(const run $ doc_arg $ query_arg $ value_arg $ k)
 
-(* ---- validate / check ------------------------------------------------------------- *)
+(* ---- check ----------------------------------------------------------------------- *)
 
 module Diag = Analyze.Diag
 
@@ -610,7 +550,7 @@ let format_arg =
     & info [ "format" ] ~docv:"FORMAT" ~doc:"Report findings as $(b,text) or $(b,json).")
 
 (* DTD conformance, checked per possible world (bounded: beyond 10k worlds
-   the check is skipped, as validate always has). Violations become D009. *)
+   the check is skipped). Violations become D009. *)
 let dtd_world_diags dtd_decl doc =
   if Dtd.declarations dtd_decl = [] || Pxml.world_count doc > 10_000. then []
   else
@@ -629,63 +569,18 @@ let dtd_world_diags dtd_decl doc =
           forest)
       (Worlds.merged doc)
 
-(* Findings go to stdout: they are the product of these subcommands, not
-   commentary on it. *)
-let render_diags format diags =
-  match format with
-  | `Json -> print_endline (Obs.Json.to_string ~indent:2 (Diag.list_to_json diags))
-  | `Text ->
-      List.iter (fun d -> Fmt.pr "%s@." (Diag.to_text d)) diags;
-      (match Diag.worst diags with
-      | None -> ()
-      | Some w ->
-          Fmt.pr "%d finding(s), worst: %s@." (List.length diags)
-            (Diag.severity_to_string w))
-
-let validate_cmd =
-  let run path dtd format tele =
-    with_telemetry tele @@ fun () ->
-    let dtd_decl = or_die (load_dtd dtd) in
-    let diags, doc =
-      match load_doc path with
-      | Error msg -> ([ Diag.make ~code:"D000" ~severity:Diag.Error msg ], None)
-      | Ok doc -> (Analyze.Doc_lint.lint doc @ dtd_world_diags dtd_decl doc, Some doc)
-    in
-    render_diags format diags;
-    (match (doc, format) with
-    | Some doc, `Text when Diag.worst diags <> Some Diag.Error ->
-        Fmt.pr "valid: %d nodes, %g world combinations@." (node_count doc)
-          (world_count doc)
-    | _ -> ());
-    exit (Diag.exit_code diags)
-  in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Check probabilistic structure (and optionally a DTD in every world). All \
-          findings are reported, not just the first; the exit code is the worst \
-          severity (0 ok/info, 1 warning, 2 error).")
-    Term.(const run $ path $ dtd_arg $ format_arg $ telemetry_term)
-
 let check_cmd =
-  let run path queries dtd plan format tele =
-    with_telemetry tele @@ fun () ->
-    if path = None && queries = [] then begin
-      Fmt.epr "imprecise: nothing to check: give a DOC.xml and/or --query@.";
-      exit 1
-    end;
-    let dtd_decl = or_die (load_dtd dtd) in
-    let doc_diags, summary =
-      match path with
-      | None -> ([], None)
-      | Some path -> (
-          match load_doc path with
-          | Error msg -> ([ Diag.make ~code:"D000" ~severity:Diag.Error msg ], None)
-          | Ok doc ->
-              ( Analyze.Doc_lint.lint doc @ dtd_world_diags dtd_decl doc,
-                Some (Analyze.Summary.of_doc doc) ))
+  let run path queries dtd plan format () =
+    if path = None && queries = [] then
+      die "nothing to check: give a DOC.xml and/or --query";
+    let dtd_decl = load_dtd dtd in
+    let doc, doc_diags =
+      match Option.map load_doc path with
+      | None -> (None, [])
+      | Some (Error msg) -> (None, [ Diag.make ~code:"D000" ~severity:Diag.Error msg ])
+      | Some (Ok doc) -> (Some doc, Analyze.Doc_lint.lint doc @ dtd_world_diags dtd_decl doc)
     in
+    let summary = Option.map Analyze.Summary.of_doc doc in
     let query_diags =
       List.concat_map (fun q -> Analyze.Query_check.check_string ?summary q) queries
     in
@@ -708,41 +603,42 @@ let check_cmd =
       doc_diags @ query_diags
       @ List.concat_map (fun (_, (p : Analyze.Plan.t)) -> p.Analyze.Plan.reasons) plans
     in
+    (* Findings go to stdout: they are the product of this subcommand, not
+       commentary on it. *)
     (match format with
     | `Json ->
-        let base =
+        let fields =
           match Diag.list_to_json diags with
           | Obs.Json.Obj fields -> fields
           | j -> [ ("diagnostics", j) ]
         in
+        let plan_json (q, p) =
+          Obs.Json.Obj [ ("query", Obs.Json.String q); ("plan", Analyze.Plan.to_json p) ]
+        in
         let fields =
-          if not plan then base
-          else
-            base
-            @ [
-                ( "plans",
-                  Obs.Json.List
-                    (List.map
-                       (fun (q, p) ->
-                         Obs.Json.Obj
-                           [
-                             ("query", Obs.Json.String q);
-                             ("plan", Analyze.Plan.to_json p);
-                           ])
-                       plans) );
-              ]
+          if plan then fields @ [ ("plans", Obs.Json.List (List.map plan_json plans)) ]
+          else fields
         in
         print_endline (Obs.Json.to_string ~indent:2 (Obs.Json.Obj fields))
     | `Text ->
-        render_diags `Text diags;
-        List.iter (fun (q, p) -> Fmt.pr "plan %s:@.  %a@." q Analyze.Plan.pp p) plans);
-    (if format = `Text && diags = [] && plans = [] then
-       Fmt.pr "clean: no findings in %d document(s), %d query(ies)@."
-         (if path = None then 0 else 1)
-         (List.length queries));
-    exit (Diag.exit_code diags)
+        List.iter (fun d -> Fmt.pr "%s@." (Diag.to_text d)) diags;
+        (match Diag.worst diags with
+        | None -> ()
+        | Some w ->
+            Fmt.pr "%d finding(s), worst: %s@." (List.length diags)
+              (Diag.severity_to_string w));
+        (match doc with
+        | Some doc when Diag.worst doc_diags <> Some Diag.Error ->
+            Fmt.pr "valid: %d nodes, %g world combinations@." (node_count doc)
+              (world_count doc)
+        | _ -> ());
+        List.iter (fun (q, p) -> Fmt.pr "plan %s:@.  %a@." q Analyze.Plan.pp p) plans;
+        if diags = [] && plans = [] then
+          Fmt.pr "clean: no findings in %d document(s), %d query(ies)@."
+            (if path = None then 0 else 1)
+            (List.length queries));
+    Diag.exit_code diags
   in
-  let path = Arg.(value & pos 0 (some file) None & info [] ~docv:"DOC.xml") in
   let queries =
     Arg.(
       value & opt_all string []
@@ -763,58 +659,45 @@ let check_cmd =
              document the plan is computed against its path summary; without one, \
              against the empty summary.")
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Static analysis: lint a probabilistic document and/or analyse queries \
-          against its path summary, without enumerating any worlds. Reports stable \
-          diagnostic codes (doc/analysis.md); the exit code is the worst severity.")
-    Term.(const run $ path $ queries $ dtd_arg $ plan $ format_arg $ telemetry_term)
+  command "check"
+    ~doc:
+      "Static analysis: lint a probabilistic document (and optionally a DTD in every \
+       world) and/or analyse queries against its path summary, without enumerating \
+       any worlds. All findings are reported, not just the first, with stable \
+       diagnostic codes (doc/analysis.md); a document without errors also gets its \
+       size. The exit code is the worst severity (0 ok/info, 1 warning, 2 error)."
+    Term.(const run $ Arg.value doc_pos $ queries $ dtd_arg $ plan $ format_arg)
 
 (* ---- doctor ------------------------------------------------------------------------ *)
 
 let doctor_cmd =
-  let run dir strict repair migrate retries tele =
-    with_telemetry tele @@ fun () ->
+  let run dir strict repair retries () =
     let mode = if strict then Store.Strict else Store.Salvage in
     let retry =
       if retries <= 1 then None
-      else
-        try Some (Resilience.Retry.policy ~max_attempts:retries ())
-        with Invalid_argument msg -> or_die (Error msg)
+      else Some (valid (Resilience.Retry.policy ~max_attempts:retries))
     in
-    match Store.load ?retry ~mode ~quarantine:repair dir with
-    | Error msg ->
-        Fmt.epr "imprecise: %s@." msg;
-        exit 1
-    | Ok (s, report) ->
-        Fmt.pr "%a" Store.pp_report report;
-        Fmt.pr "recovered %d of %d document(s)@." (Store.size s)
-          (List.length report.Store.docs);
-        (* clean means the commit record itself checked out, not just that
-           every file the load happened to find was readable *)
-        let clean = Store.recovered_all report && report.Store.manifest = `Ok in
-        if migrate && not (clean || repair) then begin
-          Fmt.epr "imprecise: refusing to migrate a damaged store (run doctor --repair first)@.";
-          exit 1
-        end;
-        if clean && not migrate then exit 0
-        else if repair || migrate then begin
-          (* with --repair the quarantining load above already set the
-             directory straight; this save re-commits the recovered
-             documents as .ipx under a fresh manifest *)
-          match Store.save ?retry s ~dir with
-          | Ok () ->
-              if migrate then
-                Fmt.pr "migrated %d document(s) to the compact binary format (v3)@."
-                  (Store.size s)
-              else Fmt.pr "rewrote a clean manifest for the recovered documents@.";
-              exit 0
-          | Error msg ->
-              Fmt.epr "imprecise: %s failed: %s@." (if migrate then "migrate" else "repair") msg;
-              exit 1
-        end
-        else exit 1
+    let s, report = or_die (Store.load ?retry ~mode ~quarantine:repair dir) in
+    Fmt.pr "%a" Store.pp_report report;
+    Fmt.pr "recovered %d of %d document(s)@." (Store.size s)
+      (List.length report.Store.docs);
+    if repair then begin
+      (* the quarantining load above already set the directory straight;
+         this save re-commits the recovered documents as .ipx under a fresh
+         manifest (so documents an earlier version stored as XML become
+         .ipx frames too) *)
+      match Store.save ?retry s ~dir with
+      | Ok () ->
+          Fmt.pr "rewrote a clean manifest for the recovered documents@.";
+          0
+      | Error msg -> die "repair failed: %s" msg
+    end
+    else if
+      (* clean means the commit record itself checked out, not just that
+         every file the load happened to find was readable *)
+      Store.recovered_all report && report.Store.manifest = `Ok
+    then 0
+    else 1
   in
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
   let strict =
@@ -831,20 +714,9 @@ let doctor_cmd =
             "Quarantine damaged and stray files (renamed to $(b,*.corrupt), bytes kept) \
              and re-save the recovered documents, so the directory carries a clean, \
              verified manifest again — also upgrading a legacy or corrupt-manifest \
-             directory. Without this flag doctor only reads.")
-  in
-  let migrate =
-    Arg.(
-      value & flag
-      & info [ "migrate" ]
-          ~doc:
-            "Re-save a clean store: a plain load and save. Every save writes the \
-             compact binary format (v3), so documents an earlier version stored as \
-             XML become checksummed $(b,.ipx) frames, committed by the usual staged \
-             manifest, and the superseded $(b,.xml) files are deleted. Loads \
-             auto-detect the format, so old XML stores read without this flag. \
-             Refuses to run on a damaged store unless combined with $(b,--repair), \
-             which quarantines the damage first and migrates what was recovered.")
+             directory. Every save writes the compact binary format (v3), so documents \
+             an earlier version stored as XML become checksummed $(b,.ipx) frames. \
+             Without this flag doctor only reads.")
   in
   let retries =
     Arg.(
@@ -856,42 +728,33 @@ let doctor_cmd =
              attempt builds a fresh store, each save attempt stages under a fresh \
              generation.")
   in
-  Cmd.v
-    (Cmd.info "doctor"
-       ~doc:
-         "Check a store directory: verify every document against the checksummed \
-          manifest and print a per-document recovery report. Exits 0 only if the \
-          manifest is present and verified and every document was recovered (or \
-          $(b,--repair) restored that state). $(b,--migrate) re-saves a clean store, \
-          which rewrites documents an earlier version stored as XML in the compact \
-          binary format.")
-    Term.(const run $ dir $ strict $ repair $ migrate $ retries $ telemetry_term)
+  command "doctor"
+    ~doc:
+      "Check a store directory: verify every document against the checksummed \
+       manifest and print a per-document recovery report. Exits 0 only if the \
+       manifest is present and verified and every document was recovered (or \
+       $(b,--repair) restored that state)."
+    Term.(const run $ dir $ strict $ repair $ retries)
 
 (* ---- demo -------------------------------------------------------------------------- *)
 
 let demo_cmd =
-  let run tele =
-    with_telemetry tele @@ fun () ->
+  let run () =
     Fmt.pr "Integrating the two Figure-2 address books under 'person: nm?, tel?':@.";
     let doc =
       Result.get_ok
         (integrate ~rules:Rulesets.generic ~dtd:Data.Addressbook.dtd Data.Addressbook.source_a
            Data.Addressbook.source_b)
     in
-    List.iter
-      (fun (p, forest) ->
-        Fmt.pr "  %.2f  %s@." p
-          (String.concat "" (List.map (fun t -> Xml.Printer.to_string t) forest)))
-      (Worlds.merged doc);
+    print_worlds ~indent:"  " ~digits:2 (Worlds.merged doc);
     Fmt.pr "@.Querying //person/tel:@.";
     Fmt.pr "%a" Answer.pp (rank doc "//person/tel");
     Fmt.pr "@.After the user denies 2222:@.";
     let doc = Result.get_ok (Feedback.prune doc ~query:"//person/tel" ~value:"2222" ~correct:false) in
-    Fmt.pr "%a" Answer.pp (rank doc "//person/tel")
+    Fmt.pr "%a" Answer.pp (rank doc "//person/tel");
+    0
   in
-  Cmd.v
-    (Cmd.info "demo" ~doc:"Run the paper's Figure-2 example end to end.")
-    Term.(const run $ telemetry_term)
+  command "demo" ~doc:"Run the paper's Figure-2 example end to end." Term.(const run)
 
 (* ---- report ------------------------------------------------------------------------ *)
 
@@ -909,111 +772,103 @@ let report_cmd =
     | Some (Obs.Json.Int i) -> Some (float_of_int i)
     | _ -> None
   in
-  let fbool name ev =
-    match Obs.Event.field name ev with Some (Obs.Json.Bool b) -> Some b | _ -> None
-  in
-  let bump tbl key =
-    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  let run file top format =
+  let read file =
     let ic =
       try open_in file
       with Sys_error msg -> die "cannot open event log: %s" msg
     in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    (* per-op latency aggregates, keyed by event (= op) name *)
-    let lat : (string, Obs.Quantile.t * float ref * int ref) Hashtbl.t =
-      Hashtbl.create 16
+    let rec go line_no acc =
+      match input_line ic with
+      | exception End_of_file -> List.rev acc
+      | line when String.trim line = "" -> go (line_no + 1) acc
+      | line -> (
+          match Result.bind (Obs.Json.parse line) Obs.Event.of_json with
+          | Ok ev -> go (line_no + 1) (ev :: acc)
+          | Error msg -> die "%s:%d: %s" file line_no msg)
     in
-    let total_events = ref 0 and ops = ref 0 and errors = ref 0 in
-    let degrades = Hashtbl.create 8 (* rung -> count *) in
-    let trips = Hashtbl.create 8 (* reason -> count *) in
-    let retries = ref 0 and giveups = ref 0 and slow_marks = ref 0 in
-    let caches = Hashtbl.create 8 (* event name -> (hits, lookups) *) in
-    (* slowest ops, descending by dur_ms, bounded to [top] *)
-    let slowest = ref [] in
-    let note_slow dur ev =
-      slowest :=
-        List.filteri
-          (fun i _ -> i < top)
-          (List.merge (fun (a, _) (b, _) -> compare b a) [ (dur, ev) ] !slowest)
+    go 1 []
+  in
+  (* [(key, v)] pairs grouped by key, keys sorted, each group folded by [f] *)
+  let group f pairs =
+    List.map
+      (fun k -> (k, f (List.filter_map (fun (k', v) -> if k = k' then Some v else None) pairs)))
+      (List.sort_uniq compare (List.map fst pairs))
+  in
+  let counts rows = Obs.Json.Obj (List.map (fun (r, n) -> (r, Obs.Json.Int n)) rows) in
+  let run file top format () =
+    let events = read file in
+    if events = [] then die "%s: no events (is this an --events-out log?)" file;
+    (* the one aggregate both renderings read *)
+    let named name ev = ev.Obs.Event.name = name in
+    let count name = List.length (List.filter (named name) events) in
+    (* [name] events by their [key] field, e.g. degradations by rung *)
+    let tally name key =
+      group List.length
+        (List.filter_map
+           (fun ev ->
+             if named name ev then Some (Option.value ~default:"?" (fstr key ev), ())
+             else None)
+           events)
     in
-    let line_no = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr line_no;
-         if String.trim line <> "" then begin
-           let ev =
-             match Obs.Json.parse line with
-             | Error msg -> die "%s:%d: %s" file !line_no msg
-             | Ok json -> (
-                 match Obs.Event.of_json json with
-                 | Error msg -> die "%s:%d: %s" file !line_no msg
-                 | Ok ev -> ev)
-           in
-           incr total_events;
-           (match ev.Obs.Event.name with
-           | "degrade" ->
-               bump degrades (Option.value ~default:"?" (fstr "rung" ev))
-           | "budget.trip" ->
-               bump trips (Option.value ~default:"?" (fstr "reason" ev))
-           | "retry" -> incr retries
-           | "retry.giveup" -> incr giveups
-           | "slow_op" -> incr slow_marks
-           | _ -> ());
-           (match fbool "hit" ev with
-           | Some hit ->
-               let h, n =
-                 Option.value ~default:(0, 0) (Hashtbl.find_opt caches ev.Obs.Event.name)
-               in
-               Hashtbl.replace caches ev.Obs.Event.name
-                 ((h + if hit then 1 else 0), n + 1)
-           | None -> ());
-           match ffloat "dur_ms" ev with
-           | Some dur when ev.Obs.Event.name <> "slow_op" ->
-               incr ops;
-               let q, mx, errs =
-                 match Hashtbl.find_opt lat ev.Obs.Event.name with
-                 | Some entry -> entry
-                 | None ->
-                     let entry = (Obs.Quantile.create (), ref 0., ref 0) in
-                     Hashtbl.add lat ev.Obs.Event.name entry;
-                     entry
-               in
-               Obs.Quantile.add q dur;
-               if dur > !mx then mx := dur;
-               (match fstr "outcome" ev with
-               | Some o when String.length o >= 5 && String.sub o 0 5 = "error" ->
-                   incr errs;
-                   incr errors
-               | _ -> ());
-               note_slow dur ev
-           | _ -> ()
-         end
-       done
-     with End_of_file -> ());
-    if !total_events = 0 then die "%s: no events (is this an --events-out log?)" file;
-    let by_name tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl []) in
+    let ops =
+      List.filter_map
+        (fun ev ->
+          match ffloat "dur_ms" ev with
+          | Some dur when not (named "slow_op" ev) -> Some (ev.Obs.Event.name, (dur, ev))
+          | _ -> None)
+        events
+    in
+    let is_error (_, ev) =
+      match fstr "outcome" ev with
+      | Some o -> String.starts_with ~prefix:"error" o
+      | None -> false
+    in
     let ops_rows =
-      List.map
-        (fun (name, (q, mx, errs)) ->
-          (name, Obs.Quantile.count q, Obs.Quantile.estimate q 0.5,
-           Obs.Quantile.estimate q 0.9, Obs.Quantile.estimate q 0.99, !mx, !errs))
-        (by_name lat)
+      group
+        (fun ds ->
+          let q = Obs.Quantile.create () in
+          List.iter (fun (d, _) -> Obs.Quantile.add q d) ds;
+          ( List.length ds,
+            Obs.Quantile.estimate q 0.5,
+            Obs.Quantile.estimate q 0.9,
+            Obs.Quantile.estimate q 0.99,
+            List.fold_left (fun mx (d, _) -> if d > mx then d else mx) 0. ds,
+            List.length (List.filter is_error ds) ))
+        ops
     in
-    match format with
+    let errors = List.length (List.filter (fun (_, op) -> is_error op) ops) in
+    let degrades = tally "degrade" "rung" and trips = tally "budget.trip" "reason" in
+    let retries = count "retry" and giveups = count "retry.giveup" in
+    let caches =
+      group
+        (fun hits -> (List.length (List.filter Fun.id hits), List.length hits))
+        (List.filter_map
+           (fun ev ->
+             match Obs.Event.field "hit" ev with
+             | Some (Obs.Json.Bool hit) -> Some (ev.Obs.Event.name, hit)
+             | _ -> None)
+           events)
+    in
+    (* the [top] slowest, the later of two equally slow ops first *)
+    let slowest =
+      List.filteri
+        (fun i _ -> i < top)
+        (List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev_map snd ops))
+    in
+    let detail ev = Option.value ~default:"" (fstr "detail" ev) in
+    (match format with
     | `Json ->
         let obj =
           Obs.Json.Obj
             [
-              ("events", Obs.Json.Int !total_events);
-              ("ops", Obs.Json.Int !ops);
-              ("errors", Obs.Json.Int !errors);
+              ("events", Obs.Json.Int (List.length events));
+              ("ops", Obs.Json.Int (List.length ops));
+              ("errors", Obs.Json.Int errors);
               ( "latency_ms",
                 Obs.Json.Obj
                   (List.map
-                     (fun (name, n, p50, p90, p99, mx, errs) ->
+                     (fun (name, (n, p50, p90, p99, mx, errs)) ->
                        ( name,
                          Obs.Json.Obj
                            [
@@ -1022,15 +877,11 @@ let report_cmd =
                              ("max", Obs.Json.Float mx); ("errors", Obs.Json.Int errs);
                            ] ))
                      ops_rows) );
-              ( "degradations",
-                Obs.Json.Obj
-                  (List.map (fun (r, n) -> (r, Obs.Json.Int n)) (by_name degrades)) );
-              ( "budget_trips",
-                Obs.Json.Obj
-                  (List.map (fun (r, n) -> (r, Obs.Json.Int n)) (by_name trips)) );
-              ("retries", Obs.Json.Int !retries);
-              ("retry_giveups", Obs.Json.Int !giveups);
-              ("slow_ops", Obs.Json.Int !slow_marks);
+              ("degradations", counts degrades);
+              ("budget_trips", counts trips);
+              ("retries", Obs.Json.Int retries);
+              ("retry_giveups", Obs.Json.Int giveups);
+              ("slow_ops", Obs.Json.Int (count "slow_op"));
               ( "caches",
                 Obs.Json.Obj
                   (List.map
@@ -1038,7 +889,7 @@ let report_cmd =
                        ( name,
                          Obs.Json.Obj
                            [ ("hits", Obs.Json.Int h); ("lookups", Obs.Json.Int n) ] ))
-                     (by_name caches)) );
+                     caches) );
               ( "slowest",
                 Obs.Json.List
                   (List.map
@@ -1048,27 +899,15 @@ let report_cmd =
                            ("op", Obs.Json.String ev.Obs.Event.name);
                            ("dur_ms", Obs.Json.Float dur);
                            ("trace", Obs.Json.Int ev.Obs.Event.trace_id);
-                           ( "detail",
-                             Obs.Json.String (Option.value ~default:"" (fstr "detail" ev))
-                           );
+                           ("detail", Obs.Json.String (detail ev));
                          ])
-                     !slowest) );
+                     slowest) );
             ]
         in
         print_endline (Obs.Json.to_string ~indent:2 obj)
     | `Text ->
-        Fmt.pr "%d event(s), %d op completion(s), %d error(s)@.@." !total_events !ops
-          !errors;
-        if ops_rows <> [] then begin
-          Fmt.pr "latency (ms)          %8s %9s %9s %9s %9s %6s@." "n" "p50" "p90" "p99"
-            "max" "err";
-          List.iter
-            (fun (name, n, p50, p90, p99, mx, errs) ->
-              Fmt.pr "  %-19s %8d %9.3f %9.3f %9.3f %9.3f %6d@." name n p50 p90 p99 mx
-                errs)
-            ops_rows;
-          Fmt.pr "@."
-        end;
+        Fmt.pr "%d event(s), %d op completion(s), %d error(s)@.@." (List.length events)
+          (List.length ops) errors;
         let section title rows pp =
           if rows <> [] then begin
             Fmt.pr "%s@." title;
@@ -1076,22 +915,27 @@ let report_cmd =
             Fmt.pr "@."
           end
         in
-        section "degradations (by rung degraded from)" (by_name degrades)
-          (fun (r, n) -> Fmt.pr "  %-19s %8d@." r n);
-        section "budget trips (by reason)" (by_name trips) (fun (r, n) ->
-            Fmt.pr "  %-19s %8d@." r n);
-        if !retries > 0 || !giveups > 0 then
-          Fmt.pr "retries: %d (gave up %d time(s))@.@." !retries !giveups;
-        section "cache effectiveness" (by_name caches) (fun (name, (h, n)) ->
+        let count (r, n) = Fmt.pr "  %-19s %8d@." r n in
+        section
+          (Fmt.str "latency (ms)          %8s %9s %9s %9s %9s %6s" "n" "p50" "p90" "p99"
+             "max" "err")
+          ops_rows
+          (fun (name, (n, p50, p90, p99, mx, errs)) ->
+            Fmt.pr "  %-19s %8d %9.3f %9.3f %9.3f %9.3f %6d@." name n p50 p90 p99 mx errs);
+        section "degradations (by rung degraded from)" degrades count;
+        section "budget trips (by reason)" trips count;
+        if retries > 0 || giveups > 0 then
+          Fmt.pr "retries: %d (gave up %d time(s))@.@." retries giveups;
+        section "cache effectiveness" caches (fun (name, (h, n)) ->
             Fmt.pr "  %-19s %8d/%d hits (%.0f%%)@." name h n
               (if n = 0 then 0. else 100. *. float_of_int h /. float_of_int n));
         section
           (Fmt.str "slowest ops (top %d)" top)
-          !slowest
+          slowest
           (fun (dur, ev) ->
             Fmt.pr "  %9.3f ms  %-19s trace=%d  %s@." dur ev.Obs.Event.name
-              ev.Obs.Event.trace_id
-              (Option.value ~default:"" (fstr "detail" ev)))
+              ev.Obs.Event.trace_id (detail ev)));
+    0
   in
   let file =
     Arg.(
@@ -1104,11 +948,10 @@ let report_cmd =
       value & opt int 5
       & info [ "top" ] ~docv:"N" ~doc:"How many of the slowest ops to list.")
   in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Aggregate a flight-recorder event log: per-op latency quantiles, degradation \
-          and budget-trip rates, cache effectiveness, and the slowest operations.")
+  command ~traced:false "report"
+    ~doc:
+      "Aggregate a flight-recorder event log: per-op latency quantiles, degradation \
+       and budget-trip rates, cache effectiveness, and the slowest operations."
     Term.(const run $ file $ top $ format_arg)
 
 let main =
@@ -1117,7 +960,7 @@ let main =
        ~doc:"Good-is-good-enough probabilistic XML data integration (IMPrECISE, ICDE 2008).")
     [
       integrate_cmd; stats_cmd; query_cmd; worlds_cmd; explain_cmd; feedback_cmd;
-      validate_cmd; check_cmd; rules_cmd; doctor_cmd; demo_cmd; report_cmd;
+      check_cmd; rules_cmd; doctor_cmd; demo_cmd; report_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+let () = exit (Cmd.eval' main)

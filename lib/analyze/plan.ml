@@ -33,7 +33,8 @@ let is_strict_prefix prefix p =
   in
   go prefix p
 
-let plan ~summary ?source ?(local_limit = Fragment.default_local_limit) expr : t =
+let plan ~summary ?source expr : t =
+  let local_limit = Fragment.default_local_limit in
   let cost = Cost.analyze summary expr in
   let enumerate reasons =
     { route = Enumerate; cost; obligations = []; reasons }

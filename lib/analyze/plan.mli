@@ -33,16 +33,11 @@ type t = {
       (** why not direct — [P00n] diagnostics when [route = Enumerate] *)
 }
 
-(** [plan ~summary ?source ?local_limit expr] — [source] attaches the
-    query text to reason diagnostics; [local_limit] must match the
-    evaluator's ([Fragment.default_local_limit] by default, as in
-    [Pquery]). *)
-val plan :
-  summary:Summary.t ->
-  ?source:string ->
-  ?local_limit:float ->
-  Imprecise_xpath.Ast.expr ->
-  t
+(** [plan ~summary ?source expr] — [source] attaches the query text to
+    reason diagnostics. Occurrence subtrees are bounded by
+    [Fragment.default_local_limit], the limit the direct evaluator
+    applies. *)
+val plan : summary:Summary.t -> ?source:string -> Imprecise_xpath.Ast.expr -> t
 
 val route_to_string : route -> string
 

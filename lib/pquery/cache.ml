@@ -20,7 +20,7 @@ type t = {
   tbl : (string, node) Hashtbl.t;
   mutable head : node option;
   mutable tail : node option;
-  mutable capacity : int;
+  capacity : int;
 }
 
 let create ?(capacity = 256) () =
@@ -30,11 +30,6 @@ let create ?(capacity = 256) () =
 let capacity t = t.capacity
 
 let length t = Hashtbl.length t.tbl
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -61,13 +56,6 @@ let evict_tail t =
       unlink t n;
       Hashtbl.remove t.tbl n.key;
       Obs.Metrics.incr c_evict
-
-let set_capacity t capacity =
-  if capacity <= 0 then invalid_arg "Cache.set_capacity: capacity must be positive";
-  t.capacity <- capacity;
-  while length t > t.capacity do
-    evict_tail t
-  done
 
 let find t key =
   let r =
@@ -97,13 +85,6 @@ let add t key value =
       let n = { key; value; prev = None; next = None } in
       Hashtbl.add t.tbl key n;
       push_front t n
-
-let remove t key =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl key
 
 (* Composite key. The generation is what invalidates: every [Store.put]
    stamps the document with a fresh generation, so entries for superseded

@@ -21,12 +21,6 @@ val capacity : t -> int
 (** Entries currently held. *)
 val length : t -> int
 
-(** [set_capacity t n] shrinks or grows the bound, evicting the least
-    recently used entries as needed. *)
-val set_capacity : t -> int -> unit
-
-val clear : t -> unit
-
 (** [find t key] is the cached answer, marking it most recently used.
     Counts a hit or a miss. *)
 val find : t -> string -> Answer.t list option
@@ -34,8 +28,6 @@ val find : t -> string -> Answer.t list option
 (** [add t key answers] inserts or replaces, evicting the least recently
     used entry when full. *)
 val add : t -> string -> Answer.t list -> unit
-
-val remove : t -> string -> unit
 
 (** [key ~collection ~generation ~variant ~query] builds the composite
     cache key. [variant] encodes everything besides the document and query

@@ -83,7 +83,8 @@ let values_at local_expr tree =
 let local_worlds local_expr (node : Pxml.node) =
   Seq.map (fun (q, tree) -> (q, tree, values_at local_expr tree)) (Worlds.enumerate_node node)
 
-let local_distribution ~local_limit local_expr (node : Pxml.node) : (string * float) list =
+let local_distribution local_expr (node : Pxml.node) : (string * float) list =
+  let local_limit = Fragment.default_local_limit in
   let count =
     (* world count of a single node *)
     Pxml.world_count { Pxml.choices = [ { Pxml.prob = 1.; nodes = [ node ] } ] }
@@ -102,9 +103,9 @@ let local_distribution ~local_limit local_expr (node : Pxml.node) : (string * fl
     (Worlds.enumerate_node node);
   Hashtbl.fold (fun v p acc -> (v, p) :: acc) tbl []
 
-let build_etree ~local_limit (plan : plan) (doc : Pxml.doc) : edist =
+let build_etree (plan : plan) (doc : Pxml.doc) : edist =
   let occ_memo = Phys.table () in
-  let summarise = local_distribution ~local_limit plan.local in
+  let summarise = local_distribution plan.local in
   let automaton = Fragment.automaton plan in
   let advance states tag = Fragment.advance automaton states tag in
   let rec walk_dist states inside (d : Pxml.dist) : edist =
@@ -130,9 +131,9 @@ let build_etree ~local_limit (plan : plan) (doc : Pxml.doc) : edist =
   (* The initial state set: at the document node, about to match step 0. *)
   walk_dist Fragment.start false doc
 
-let walk ?(local_limit = Fragment.default_local_limit) doc expr =
+let walk doc expr =
   let plan = plan_of_expr expr in
-  (plan, build_etree ~local_limit plan doc)
+  (plan, build_etree plan doc)
 
 (* A choice's nodes, each with its tree: [None] for those the walk left
    out (text, or an element no occurrence can lie below). *)
@@ -167,8 +168,8 @@ and noemit_dist v cs =
     (fun acc (p, ts) -> acc +. (p *. List.fold_left (fun a t -> a *. noemit v t) 1. ts))
     0. cs
 
-let rank_expr ?local_limit doc expr =
-  let _, edist = walk ?local_limit doc expr in
+let rank_expr doc expr =
+  let _, edist = walk doc expr in
   let values = values_of_edist edist in
   Answer.rank
     (List.filter_map
@@ -176,9 +177,6 @@ let rank_expr ?local_limit doc expr =
          let p = 1. -. noemit_dist v edist in
          if p <= 1e-12 then None else Some { Answer.value = v; prob = p })
        values)
-
-let rank ?local_limit doc query =
-  rank_expr ?local_limit doc (Imprecise_xpath.Parser.parse_exn query)
 
 (* ---- conditioning: Bayes on one value's emission ------------------------- *)
 

@@ -21,8 +21,8 @@
       step up when possible, and upward axes or absolute paths inside
       predicates are rejected ([P001]–[P004], see [doc/analysis.md]);
     - binder elements are not nested within each other in any world
-      ([P005]), and each occurrence subtree stays under [local_limit]
-      local worlds ([P006]).
+      ([P005]), and each occurrence subtree stays under
+      [Fragment.default_local_limit] local worlds ([P006]).
 
     This covers the paper's demo queries, e.g.
     [//movie[.//genre="Horror"]/title] and
@@ -40,25 +40,22 @@ module Ast = Imprecise_xpath.Ast
 
 exception Unsupported of string
 (** The query is outside the supported class (or a local subtree exceeds
-    [local_limit] worlds); callers should fall back to {!Naive}. *)
+    [Fragment.default_local_limit] worlds); callers should fall back to
+    {!Naive}. *)
 
-(** [rank ?local_limit doc query] is the exact amalgamated ranked answer.
-    [local_limit] (default 4096) bounds the per-occurrence local world
-    enumeration. *)
-val rank : ?local_limit:float -> Pxml.doc -> string -> Answer.t list
-
-val rank_expr : ?local_limit:float -> Pxml.doc -> Ast.expr -> Answer.t list
+(** [rank_expr doc expr] is the exact amalgamated ranked answer. *)
+val rank_expr : Pxml.doc -> Ast.expr -> Answer.t list
 
 (** [supported expr] checks the query class without evaluating. *)
 val supported : Ast.expr -> bool
 
 (** {1 Feedback on the emission walk}
 
-    The walk behind {!rank} is a decomposable circuit over the document's
-    independent choices, so an assertion about one value can be
+    The walk behind {!rank_expr} is a decomposable circuit over the
+    document's independent choices, so an assertion about one value can be
     conditioned on, or pruned by, folds over that same walk — no world is
-    enumerated. Both raise {!Unsupported} exactly when {!rank_expr} does
-    at its default [local_limit]. *)
+    enumerated. Both raise {!Unsupported} exactly when {!rank_expr}
+    does. *)
 
 (** [condition doc expr ~value ~present] is the exact posterior of [doc]
     given that [value] is ([present]) or is not in [expr]'s answer; [None]

@@ -36,7 +36,8 @@ and compact_dist (d : Pxml.dist) : Pxml.dist =
       (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map compact_node c.nodes })
       d.choices
   in
-  let kept = List.filter (fun (c : Pxml.choice) -> c.prob > prune_threshold) choices in
+  (* "not at most" keeps a NaN choice, so the mass below carries it *)
+  let kept = List.filter (fun (c : Pxml.choice) -> not (c.prob <= prune_threshold)) choices in
   let kept = if kept = [] then choices else kept in
   (* Merge structurally equal possibilities. *)
   let merged =
@@ -53,6 +54,7 @@ and compact_dist (d : Pxml.dist) : Pxml.dist =
       [] kept
   in
   let total = List.fold_left (fun acc (c : Pxml.choice) -> acc +. c.prob) 0. merged in
+  if Float.is_nan total then raise (Pxml.Invalid "possibility probability is NaN");
   let normalised =
     if total > 0. && Float.abs (total -. 1.) > Pxml.epsilon then
       List.map (fun (c : Pxml.choice) -> { c with Pxml.prob = c.prob /. total }) merged

@@ -13,7 +13,8 @@
     The paper's incremental-improvement story (feedback removes impossible
     worlds) relies on compaction to actually reclaim the space. *)
 
-(** [compact d] applies all rules bottom-up until a fixpoint. *)
+(** [compact d] applies all rules bottom-up until a fixpoint. Raises
+    {!Pxml.Invalid} if a possibility's probability is NaN. *)
 val compact : Pxml.doc -> Pxml.doc
 
 val compact_node : Pxml.node -> Pxml.node

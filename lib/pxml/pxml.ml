@@ -14,17 +14,19 @@ let epsilon = 1e-9
 
 exception Invalid of string
 
+(* Both tests are written as "not within": every comparison with NaN is
+   false, so a NaN probability fails them rather than slipping through. *)
 let check_dist choices =
   if choices = [] then raise (Invalid "probability node with no possibilities");
   let sum =
     List.fold_left
       (fun acc c ->
-        if c.prob < -.epsilon || c.prob > 1. +. epsilon then
+        if not (c.prob >= -.epsilon && c.prob <= 1. +. epsilon) then
           raise (Invalid (Fmt.str "possibility probability %g out of [0,1]" c.prob));
         acc +. c.prob)
       0. choices
   in
-  if Float.abs (sum -. 1.) > 1e-6 then
+  if not (Float.abs (sum -. 1.) <= 1e-6) then
     raise (Invalid (Fmt.str "possibility probabilities sum to %g, not 1" sum))
 
 let dist choices =

@@ -80,8 +80,6 @@ let distinct_count d = List.length (merged d)
 
 let total_probability d = Seq.fold_left (fun acc (p, _) -> acc +. p) 0. (enumerate d)
 
-let take n seq = List.of_seq (Seq.take n seq)
-
 (* ---- k-best worlds -------------------------------------------------------- *)
 
 let take_top k xs =

@@ -42,9 +42,6 @@ val distinct_count : Pxml.doc -> int
     tolerance for a valid document. *)
 val total_probability : Pxml.doc -> float
 
-(** [take n seq] is the first [n] elements of [seq] as a list. *)
-val take : int -> 'a Seq.t -> 'a list
-
 (** {1 k-best worlds}
 
     The most likely interpretations of a document, without enumerating the

@@ -3,7 +3,7 @@ module Worlds = Imprecise_pxml.Worlds
 module Answer = Imprecise_pquery.Answer
 module Naive = Imprecise_pquery.Naive
 
-exception Too_many_worlds of float
+type error = Too_many_worlds of float | Bad_query of string
 
 module SS = Set.Make (String)
 
@@ -30,13 +30,17 @@ let f_measure answers ~truth =
 let top_k k answers =
   List.filteri (fun i _ -> i < k) (Answer.rank answers)
 
+let ( let* ) = Result.bind
+
 let guard limit doc =
   let combos = Pxml.world_count doc in
-  if combos > limit then raise (Too_many_worlds combos)
+  if combos > limit then Error (Too_many_worlds combos) else Ok ()
 
 let expected_set_measures ?(limit = 200_000.) doc ~query ~truth =
-  guard limit doc;
-  let expr = Imprecise_xpath.Parser.parse_exn query in
+  let* () = guard limit doc in
+  let* expr =
+    Result.map_error (fun msg -> Bad_query msg) (Imprecise_xpath.Parser.parse query)
+  in
   let t = SS.of_list truth in
   let acc_p = ref 0. and acc_r = ref 0. in
   Seq.iter
@@ -55,10 +59,11 @@ let expected_set_measures ?(limit = 200_000.) doc ~query ~truth =
         acc_r := !acc_r +. (p *. recall)
       end)
     (Worlds.enumerate doc);
-  (!acc_p, !acc_r)
+  Ok (!acc_p, !acc_r)
 
 let world_entropy ?(limit = 200_000.) doc =
-  guard limit doc;
-  List.fold_left
-    (fun acc (p, _) -> if p > 0. then acc -. (p *. (Float.log p /. Float.log 2.)) else acc)
-    0. (Worlds.merged doc)
+  let* () = guard limit doc in
+  Ok
+    (List.fold_left
+       (fun acc (p, _) -> if p > 0. then acc -. (p *. (Float.log p /. Float.log 2.)) else acc)
+       0. (Worlds.merged doc))

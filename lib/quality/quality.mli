@@ -28,13 +28,21 @@ val f_measure : Answer.t list -> truth:string list -> float
     precision-at-k style evaluation). *)
 val top_k : int -> Answer.t list -> Answer.t list
 
+(** Why a world-enumerating measure gave no value: the document has more
+    world combinations than the [limit], or the query does not parse. *)
+type error = Too_many_worlds of float | Bad_query of string
+
 (** [expected_set_measures ?limit doc ~query ~truth] enumerates the worlds
     (guarded by [limit], default 200_000 combinations), computes classical
     precision/recall of the query answer in each world, and returns their
     expectations [(precision, recall)]. A world with an empty answer has
     precision 1 (nothing asserted, nothing wrong). *)
 val expected_set_measures :
-  ?limit:float -> Pxml.doc -> query:string -> truth:string list -> float * float
+  ?limit:float ->
+  Pxml.doc ->
+  query:string ->
+  truth:string list ->
+  (float * float, error) result
 
 (** {1 Uncertainty measures}
 
@@ -43,7 +51,6 @@ val expected_set_measures :
     probability mass is over distinct worlds. *)
 
 (** [world_entropy ?limit doc] is the Shannon entropy (bits) of the
-    distribution over distinct (canonical) worlds. *)
-val world_entropy : ?limit:float -> Pxml.doc -> float
-
-exception Too_many_worlds of float
+    distribution over distinct (canonical) worlds, guarded by [limit] as
+    above. *)
+val world_entropy : ?limit:float -> Pxml.doc -> (float, error) result

@@ -85,11 +85,6 @@ val with_tag : string -> (unit -> 'a) -> 'a
 (** The innermost {!with_tag} label, or ["io"] outside any. *)
 val current_tag : unit -> string
 
-(** [observe_tagged f base] is {!observe} with attribution: [f] also
-    receives the ambient tag and the payload size in bytes (the data
-    length for writes, the result length for reads, [0] otherwise). *)
-val observe_tagged : (op -> tag:string -> bytes:int -> string -> unit) -> t -> t
-
 (** [metered ?registry base] feeds every completed operation into
     {!Imprecise_obs.Obs.Metrics} (default: the global registry):
     [store.bytes_written], [store.bytes_read], [store.fsyncs],

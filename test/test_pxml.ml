@@ -56,6 +56,9 @@ let test_dist_validation () =
   (match Pxml.dist [ Pxml.choice ~prob:1.5 []; Pxml.choice ~prob:(-0.5) [] ] with
   | exception Pxml.Invalid _ -> ()
   | _ -> Alcotest.fail "out-of-range probability accepted");
+  (match Pxml.dist [ Pxml.choice ~prob:Float.nan []; Pxml.choice ~prob:1. [] ] with
+  | exception Pxml.Invalid _ -> ()
+  | _ -> Alcotest.fail "NaN probability accepted");
   match Pxml.dist [ Pxml.choice ~prob:0.25 []; Pxml.choice ~prob:0.75 [ Pxml.text "x" ] ] with
   | _ -> ()
 
@@ -199,6 +202,21 @@ let test_compact_idempotent_fig2 () =
   check Alcotest.bool "fixpoint" true (Pxml.equal c (Compact.compact c));
   check Alcotest.bool "distribution preserved" true (world_distributions_equal fig2_doc c)
 
+(* A NaN probability is an error, not a possibility to drop or a
+   fixpoint to chase: NaN never equals itself, so the all-NaN node used
+   to make compaction loop forever. *)
+let test_compact_rejects_nan () =
+  let raw probs =
+    { Pxml.choices = List.mapi (fun i prob -> { Pxml.prob; nodes = [ Pxml.text (string_of_int i) ] }) probs }
+  in
+  let rejects label d =
+    match Compact.compact (Pxml.certain [ Pxml.elem "r" [ d ] ]) with
+    | exception Pxml.Invalid _ -> ()
+    | _ -> Alcotest.failf "%s: NaN accepted" label
+  in
+  rejects "all NaN" (raw [ Float.nan; Float.nan ]);
+  rejects "one NaN among finite" (raw [ 0.5; Float.nan; 0.5 ])
+
 let prop_compact_preserves_distribution =
   QCheck.Test.make ~name:"compact preserves world distribution" ~count:100 doc_gen
     (fun doc -> world_distributions_equal doc (Compact.compact doc))
@@ -261,6 +279,8 @@ let test_codec_rejects_malformed () =
   reject "<p:poss p=\"1\"/>";
   reject "<p:prob><p:poss/></p:prob>";
   reject "<p:prob><p:poss p=\"abc\"/></p:prob>";
+  reject "<p:prob><p:poss p=\"nan\"/></p:prob>";
+  reject "<p:prob><p:poss p=\"nan\"/><p:poss p=\"1\"/></p:prob>";
   reject "<p:prob><p:poss p=\"0.5\"/></p:prob>";
   reject "<p:prob><wrong/></p:prob>";
   reject "<p:prob><p:poss p=\"1\"><a>text<p:prob><p:poss p=\"1\"/></p:prob></a></p:poss></p:prob>"
@@ -303,6 +323,7 @@ let suite =
         t "prunes zero-probability" test_compact_prunes_zero;
         t "fuses certain probability nodes" test_compact_fuses_certain_dists;
         t "idempotent on figure-2" test_compact_idempotent_fig2;
+        t "rejects NaN probabilities" test_compact_rejects_nan;
         q prop_compact_preserves_distribution;
         q prop_compact_never_grows;
         q prop_compact_valid;

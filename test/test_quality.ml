@@ -45,23 +45,36 @@ let fig2 =
   in
   Result.get_ok (Integrate.integrate cfg Addressbook.source_a Addressbook.source_b)
 
+let ok = function
+  | Ok v -> v
+  | Error (Quality.Too_many_worlds n) -> Alcotest.failf "too many worlds: %g" n
+  | Error (Quality.Bad_query msg) -> Alcotest.failf "bad query: %s" msg
+
 let test_expected_set_measures () =
   (* Truth: John's phone is 1111. Query: all phones. Worlds: both phones
      (precision 1/2, recall 1), 1111 (1, 1), 2222 (0, 0). *)
-  let p, r = Quality.expected_set_measures fig2 ~query:"//person/tel" ~truth:[ "1111" ] in
+  let p, r = ok (Quality.expected_set_measures fig2 ~query:"//person/tel" ~truth:[ "1111" ]) in
   fcheck "expected precision" ((0.5 *. 0.5) +. (0.25 *. 1.) +. (0.25 *. 0.)) p;
   fcheck "expected recall" ((0.5 *. 1.) +. (0.25 *. 1.) +. (0.25 *. 0.)) r
 
 let test_expected_guard () =
-  match Quality.expected_set_measures ~limit:1. fig2 ~query:"//person" ~truth:[] with
-  | exception Quality.Too_many_worlds _ -> ()
-  | _ -> Alcotest.fail "expected guard to fire"
+  (match Quality.expected_set_measures ~limit:1. fig2 ~query:"//person" ~truth:[] with
+  | Error (Quality.Too_many_worlds _) -> ()
+  | _ -> Alcotest.fail "expected guard to fire");
+  match Quality.world_entropy ~limit:1. fig2 with
+  | Error (Quality.Too_many_worlds _) -> ()
+  | _ -> Alcotest.fail "expected entropy guard to fire"
+
+let test_expected_bad_query () =
+  match Quality.expected_set_measures fig2 ~query:"//person[" ~truth:[] with
+  | Error (Quality.Bad_query _) -> ()
+  | _ -> Alcotest.fail "expected a Bad_query error"
 
 let test_world_entropy () =
   (* Distribution {0.5, 0.25, 0.25} has entropy 1.5 bits. *)
-  fcheck "fig2 entropy" 1.5 (Quality.world_entropy fig2);
+  fcheck "fig2 entropy" 1.5 (ok (Quality.world_entropy fig2));
   let certain = Pxml.doc_of_tree (Imprecise.parse_xml_exn "<r/>") in
-  fcheck "certain doc has zero entropy" 0. (Quality.world_entropy certain)
+  fcheck "certain doc has zero entropy" 0. (ok (Quality.world_entropy certain))
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -74,6 +87,7 @@ let suite =
         t "top-k" test_top_k;
         t "expected set measures over worlds" test_expected_set_measures;
         t "world-limit guard" test_expected_guard;
+        t "a bad query is a typed error" test_expected_bad_query;
         t "world entropy" test_world_entropy;
       ] );
   ]

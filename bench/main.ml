@@ -33,6 +33,16 @@ let time f =
   let r = f () in
   (r, Obs.Clock.now () -. t0)
 
+(* [best n f] is [f ()] and its fastest time of [n] runs, in ms. *)
+let best n f =
+  let r = ref None and best = ref infinity in
+  for _ = 1 to n do
+    let v, t = time f in
+    r := Some v;
+    best := Float.min !best t
+  done;
+  (Option.get !r, !best *. 1000.)
+
 let or_fail what pp = function
   | Ok v -> v
   | Error e -> Fmt.failwith "[%s] %s failed: %a" !in_experiment what pp e
@@ -277,15 +287,6 @@ let feedback_direct () =
     | Some a -> a.Answer.prob
     | None -> 0.
   in
-  let best n f =
-    let r = ref None and best = ref infinity in
-    for _ = 1 to n do
-      let v, t = time f in
-      r := Some v;
-      best := Float.min !best t
-    done;
-    (Option.get !r, !best *. 1000.)
-  in
   Printf.printf "%-28s %-17s %-16s %6s %7s %8s %8s\n" "document" "query" "value" "P" "op" "ms"
     "nodes";
   List.iter
@@ -331,6 +332,36 @@ let feedback_direct () =
   Printf.printf
     "(best of 5 / 15 runs; assert and deny condition on the value being / not being an\n\
      answer, prune deletes the possibilities that contradict it being one)\n"
+
+let feedback_certainty () =
+  section "Certainty by distinct structure - the most likely distinct world (Worlds.merged)";
+  (* The session benchmark's paper_movies feedback documents: the movie
+     integrations of 2 to 64 worlds under the Table I rule sets (without
+     "none" and "genre"), the full rules and the Section VI rules. *)
+  let rule_sets =
+    List.filter (fun (r : Rulesets.t) -> r.name <> "none" && r.name <> "genre") Rulesets.table1
+    @ [ Rulesets.full; Rulesets.movie ~genre:true ~title:true ~director:true () ]
+  in
+  Printf.printf "%-44s %6s %6s %9s %8s\n" "document" "nodes" "worlds" "certainty" "ms";
+  List.iter
+    (fun (src, (wl : Data.Workloads.t)) ->
+      let a = Data.Workloads.mpeg7_doc wl and b = Data.Workloads.imdb_doc wl in
+      List.iter
+        (fun (rules : Rulesets.t) ->
+          let s = stats_or_fail ~rules ~dtd:wl.dtd a b in
+          if s.Integrate.nodes <= 30_000. && s.Integrate.worlds >= 2. && s.Integrate.worlds <= 64.
+          then begin
+            let doc = integrate_or_fail ~rules ~dtd:wl.dtd a b in
+            let c, ms = best 15 (fun () -> Feedback.certainty doc) in
+            Printf.printf "%-44s %6d %6s %9.4f %8.3f\n" (src ^ ", " ^ rules.name) (node_count doc)
+              (human (world_count doc)) c ms
+          end)
+        rule_sets)
+    ([ ("confusing", Data.Workloads.confusing ()); ("typical", Data.Workloads.typical ()) ]
+    @ List.map
+        (fun n -> (Printf.sprintf "figure5-%d" n, Data.Workloads.figure5 ~n_imdb:n))
+        [ 5; 10; 15; 20 ]);
+  Printf.printf "(best of 15 runs of Feedback.certainty)\n"
 
 (* ---- ablations --------------------------------------------------------------------- *)
 
@@ -1077,6 +1108,7 @@ let experiments =
     ("quality", quality);
     ("feedback", feedback);
     ("feedback_direct", feedback_direct);
+    ("feedback_certainty", feedback_certainty);
     ("reduction", reduction);
     ("sampling", sampling);
     ("threshold", threshold);

@@ -309,9 +309,18 @@ module Quantile = struct
   let offset = 128
   let nbuckets = 320
 
-  type t = { mutable total : int; mutable zeros : int; counts : int array }
+  (* [lo] and [hi] are the least and greatest observation: a bucket's
+     midpoint can lie beyond them, and a reading never should. *)
+  type t = {
+    mutable total : int;
+    mutable zeros : int;
+    mutable lo : float;
+    mutable hi : float;
+    counts : int array;
+  }
 
-  let create () = { total = 0; zeros = 0; counts = Array.make nbuckets 0 }
+  let create () =
+    { total = 0; zeros = 0; lo = infinity; hi = neg_infinity; counts = Array.make nbuckets 0 }
 
   let bucket v =
     let i = offset + int_of_float (Float.floor (Float.log v /. log_gamma)) in
@@ -319,6 +328,8 @@ module Quantile = struct
 
   let add t v =
     t.total <- t.total + 1;
+    t.lo <- Float.min t.lo v;
+    t.hi <- Float.max t.hi v;
     if v <= 0. then t.zeros <- t.zeros + 1
     else begin
       let i = bucket v in
@@ -328,6 +339,8 @@ module Quantile = struct
   let clear t =
     t.total <- 0;
     t.zeros <- 0;
+    t.lo <- infinity;
+    t.hi <- neg_infinity;
     Array.fill t.counts 0 nbuckets 0
 
   let count t = t.total
@@ -337,19 +350,22 @@ module Quantile = struct
     else begin
       let q = Float.max 0. (Float.min 1. q) in
       let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int t.total))) in
-      if rank <= t.zeros then 0.
-      else begin
-        let seen = ref t.zeros in
-        let found = ref (-1) in
-        let i = ref 0 in
-        while !found < 0 && !i < nbuckets do
-          seen := !seen + t.counts.(!i);
-          if !seen >= rank then found := !i;
-          incr i
-        done;
-        if !found < 0 then 0. (* unreachable: total = zeros + sum counts *)
-        else Float.exp ((float_of_int (!found - offset) +. 0.5) *. log_gamma)
-      end
+      let reading =
+        if rank <= t.zeros then 0.
+        else begin
+          let seen = ref t.zeros in
+          let found = ref (-1) in
+          let i = ref 0 in
+          while !found < 0 && !i < nbuckets do
+            seen := !seen + t.counts.(!i);
+            if !seen >= rank then found := !i;
+            incr i
+          done;
+          if !found < 0 then 0. (* unreachable: total = zeros + sum counts *)
+          else Float.exp ((float_of_int (!found - offset) +. 0.5) *. log_gamma)
+        end
+      in
+      Float.min t.hi (Float.max t.lo reading)
     end
 end
 

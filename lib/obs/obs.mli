@@ -69,8 +69,9 @@ module Quantile : sig
       quantile of the positive observations is reported with relative
       error ≤ ~5% (bucket boundaries grow geometrically by
       γ = 1.05/0.95; estimates are bucket geometric midpoints, so the
-      error bound is √γ − 1 ≈ 5.1%). Zero and negative observations
-      count in a dedicated zero bucket and report as [0.].
+      error bound is √γ − 1 ≈ 5.1%), clamped to the least and greatest
+      observation. Zero and negative observations count in a dedicated
+      zero bucket and report as [0.] (within that clamp).
 
       Not internally synchronised — the instance inside each
       {!Metrics.histogram} is protected by that histogram's mutex. *)
@@ -83,7 +84,9 @@ module Quantile : sig
 
   val count : t -> int
 
-  (** [estimate t q] for [q] in [0,1]; [0.] when empty. *)
+  (** [estimate t q] for [q] in [0,1]; [0.] when empty. A reading is
+      clamped to the least and greatest observation, so no quantile
+      reads above the maximum (or below the minimum). *)
   val estimate : t -> float -> float
 
   val clear : t -> unit

@@ -45,33 +45,6 @@ and etree =
   | Eoccur of Pxml.node * (string * float) list
       (** an occurrence of the binder: its local value distribution *)
 
-(* Physical-identity memo table for shared subtrees: integration shares
-   merged/embedded subtrees across possibilities, so the expensive local
-   enumeration runs once per distinct subtree. Buckets by (depth-bounded)
-   structural hash, compares physically within a bucket. *)
-module Phys = struct
-  type 'v t = (int, (Pxml.node * 'v) list ref) Hashtbl.t
-
-  let table () : 'v t = Hashtbl.create 256
-
-  let memo (tbl : 'v t) f (k : Pxml.node) =
-    let bucket =
-      let h = Hashtbl.hash k in
-      match Hashtbl.find_opt tbl h with
-      | Some bucket -> bucket
-      | None ->
-          let bucket = ref [] in
-          Hashtbl.add tbl h bucket;
-          bucket
-    in
-    match List.find_opt (fun (k', _) -> k' == k) !bucket with
-    | Some (_, v) -> v
-    | None ->
-        let v = f k in
-        bucket := (k, v) :: !bucket;
-        v
-end
-
 (* The values the local expression emits in one local world. *)
 let values_at local_expr tree =
   let root = Eval.root_node tree in
@@ -104,8 +77,9 @@ let local_distribution local_expr (node : Pxml.node) : (string * float) list =
   Hashtbl.fold (fun v p acc -> (v, p) :: acc) tbl []
 
 let build_etree (plan : plan) (doc : Pxml.doc) : edist =
-  let occ_memo = Phys.table () in
-  let summarise = local_distribution plan.local in
+  (* integration shares subtrees across possibilities: summarise each
+     distinct subtree once *)
+  let summarise = Pxml.Phys.memo (local_distribution plan.local) in
   let automaton = Fragment.automaton plan in
   let advance states tag = Fragment.advance automaton states tag in
   let rec walk_dist states inside (d : Pxml.dist) : edist =
@@ -123,7 +97,7 @@ let build_etree (plan : plan) (doc : Pxml.doc) : edist =
             unsupported "P005: nested occurrences of the binder element";
           (* Check for nested occurrences below, then summarise locally. *)
           List.iter (fun d -> ignore (walk_dist states' true d)) content;
-          Some (Eoccur (n, Phys.memo occ_memo summarise n))
+          Some (Eoccur (n, summarise n))
         end
         else if states' = [] then None
         else Some (Eelem (n, List.map (walk_dist states' inside) content))
@@ -335,7 +309,7 @@ and dist_side local v (d : Pxml.dist) (cs : edist) : Pxml.dist side =
 
 let condition doc expr ~value ~present =
   let plan, edist = walk doc expr in
-  let local = Phys.memo (Phys.table ()) (fun n -> List.of_seq (local_worlds plan.local n)) in
+  let local = Pxml.Phys.memo (fun n -> List.of_seq (local_worlds plan.local n)) in
   let s = dist_side local value doc edist in
   if present then
     if s.can_emit then Some (snd (List.hd (Lazy.force s.given_emit))) else None
@@ -536,7 +510,7 @@ let prune doc expr ~value ~present =
   let ctx =
     {
       doomed;
-      hypotheticals = Phys.memo (Phys.table ()) (local_hypotheticals plan.local value);
+      hypotheticals = Pxml.Phys.memo (local_hypotheticals plan.local value);
     }
   in
   let s = prune_dist ctx value doc edist in

@@ -150,7 +150,14 @@ end
    back-reference written instead. Nothing can have been defined inside
    such a duplicate: its earlier occurrence defined every child and every
    string value in it, so the body written was back-references only. One
-   pass, no global state; the tables die with the call. *)
+   pass, no global state; the tables die with the call.
+
+   A joint probability node repeats its clusters' nodes, as the same
+   objects, in every possibility. So the nodes of a multi-choice
+   probability node are also looked up by identity: one met again is
+   written as the back-reference the cut-back would leave, without
+   walking it again. Only there: a lookup per node of an unshared
+   document would cost a hash of each node for nothing. *)
 
 type key =
   | K_text of string
@@ -215,6 +222,7 @@ type encoder = {
   trees : defs;
   nodes : defs;
   dists : defs;
+  seen : int Pxml.Phys.t;
 }
 
 let put_string e s =
@@ -270,7 +278,18 @@ let rec put_tree e t =
   in
   close e e.trees ~start key
 
-let rec put_node e (n : Pxml.node) =
+(* [put_shared e n] is [put_node e n] for a node that may be a repeat. *)
+let rec put_shared e (n : Pxml.node) =
+  match Pxml.Phys.find_opt e.seen n with
+  | Some k ->
+      put_varint e.buf (k + 1);
+      k
+  | None ->
+      let k = put_node e n in
+      Pxml.Phys.add e.seen n k;
+      k
+
+and put_node e (n : Pxml.node) =
   let start = Buffer.length e.buf in
   put_varint e.buf 0;
   let key =
@@ -292,13 +311,14 @@ and put_dist e (d : Pxml.dist) =
   let start = Buffer.length e.buf in
   put_varint e.buf 0;
   put_varint e.buf (List.length d.choices);
+  let multi = match d.choices with [] | [ _ ] -> false | _ -> true in
   let key =
     K_dist
       (List.map
          (fun (c : Pxml.choice) ->
            put_float e.buf c.prob;
            put_varint e.buf (List.length c.nodes);
-           (c.prob, List.map (put_node e) c.nodes))
+           (c.prob, List.map (if multi then put_shared e else put_node e) c.nodes))
          d.choices)
   in
   close e e.dists ~start key
@@ -312,6 +332,7 @@ let encode ~kind put v =
       trees = defs ();
       nodes = defs ();
       dists = defs ();
+      seen = Pxml.Phys.create 64;
     }
   in
   ignore (put e v : int);

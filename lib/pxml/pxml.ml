@@ -181,6 +181,26 @@ and equal_choice a b =
 
 let equal = equal_dist
 
+module Phys = struct
+  include Hashtbl.Make (struct
+    type t = node
+
+    let equal = ( == )
+
+    let hash = Hashtbl.hash
+  end)
+
+  let memo f =
+    let tbl = create 64 in
+    fun n ->
+      match find_opt tbl n with
+      | Some v -> v
+      | None ->
+          let v = f n in
+          add tbl n v;
+          v
+end
+
 let rec pp_node ppf = function
   | Text s -> Fmt.pf ppf "%S" s
   | Elem (tag, _, content) ->

@@ -108,6 +108,19 @@ val equal_node : node -> node -> bool
 
 val equal : doc -> doc -> bool
 
+(** Tables keyed by physical identity. Integration shares subtrees
+    between possibilities and a decoded [.ipx] frame rebuilds its
+    sharing, so work memoised per node object runs once per distinct
+    subtree, not once per occurrence. Structurally equal but separately
+    allocated nodes are different keys. *)
+module Phys : sig
+  include Hashtbl.S with type key = node
+
+  (** [memo f] is [f] computed once per node object, in a table that
+      lives as long as the returned function. *)
+  val memo : (node -> 'a) -> node -> 'a
+end
+
 val pp : Format.formatter -> doc -> unit
 
 val pp_node : Format.formatter -> node -> unit

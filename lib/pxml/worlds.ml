@@ -55,26 +55,140 @@ let guard budget seq =
 
 let enumerate ?budget d = guard budget (enumerate d)
 
-module Key = struct
-  type t = Xml.Tree.t list
+(* ---- distinct worlds ------------------------------------------------------
 
-  let compare = List.compare Xml.Tree.compare
-end
+   One bottom-up pass over the document. Every element and every
+   probability node gets its distinct local worlds, and equal ones merge
+   where they arise, so the work is bounded by distinct local worlds, not
+   by worlds times document size.
 
-module M = Map.Make (Key)
+   An element's local world is the id of its canonical form, interned on
+   (tag, attributes sorted by name, canonical children). Text stays as
+   written until its parent element canonicalises its children as
+   [Tree.canonical] does: adjacent texts joined, whitespace-only text
+   beside elements dropped, the rest space-normalised. Products associate
+   as in [enumerate] ([head *. suffix]), so a world that nothing merges has
+   the probability enumeration gives it, to the bit. *)
 
-let merged ?budget d =
-  let m =
-    Seq.fold_left
-      (fun m (p, forest) ->
-        let key = List.map Xml.Tree.canonical forest in
-        let prev = Option.value ~default:0. (M.find_opt key m) in
-        M.add key (prev +. p) m)
-      M.empty (enumerate ?budget d)
+type item = E of int * Xml.Tree.t | T of string
+
+let equal_item a b =
+  match (a, b) with
+  | E (i, _), E (j, _) -> i = j
+  | T x, T y -> String.equal x y
+  | (E _ | T _), _ -> false
+
+let mix h x = (h * 16777619) lxor x
+
+let hash_items h items =
+  List.fold_left (fun h -> function E (i, _) -> mix h i | T s -> mix h (Hashtbl.hash s)) h items
+
+module Forests = Hashtbl.Make (struct
+  type t = item list
+
+  let equal = List.equal equal_item
+
+  let hash items = Hashtbl.hash (hash_items 7 items)
+end)
+
+module Elements = Hashtbl.Make (struct
+  type t = string * (string * string) list * item list
+
+  let equal (t1, a1, i1) (t2, a2, i2) =
+    String.equal t1 t2 && a1 = a2 && List.equal equal_item i1 i2
+
+  let hash (tag, attrs, items) = Hashtbl.hash (hash_items (Hashtbl.hash (tag, attrs)) items)
+end)
+
+(* Sum the probabilities of equal forests, in first-seen order. *)
+let merge_forests xs =
+  match xs with
+  | [] | [ _ ] -> xs
+  | _ ->
+      let seen = Forests.create 16 in
+      let order =
+        List.fold_left
+          (fun order (p, k) ->
+            match Forests.find_opt seen k with
+            | Some r ->
+                r := !r +. p;
+                order
+            | None ->
+                let r = ref p in
+                Forests.add seen k r;
+                (r, k) :: order)
+          [] xs
+      in
+      List.rev_map (fun (r, k) -> (!r, k)) order
+
+let product (locals : (float * item list) list list) =
+  List.fold_right
+    (fun s suffix ->
+      List.concat_map (fun (p, xs) -> List.map (fun (q, ys) -> (p *. q, xs @ ys)) suffix) s)
+    locals [ (1., []) ]
+
+let blank = String.for_all (function ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+
+let tree_of = function E (_, t) -> t | T s -> Xml.Tree.Text s
+
+(* [Tree.canonical]'s treatment of an element's children, on children
+   whose elements are canonical already. *)
+let canonical_children items =
+  let rec join = function
+    | T a :: T b :: rest -> join (T (a ^ b) :: rest)
+    | x :: rest -> x :: join rest
+    | [] -> []
   in
-  M.bindings m
-  |> List.map (fun (k, p) -> (p, k))
-  |> List.sort (fun (p, _) (q, _) -> Float.compare q p)
+  let items = join items in
+  let has_elem = List.exists (function E _ -> true | T _ -> false) items in
+  List.filter_map
+    (function
+      | T s when has_elem && blank s -> None
+      | T s -> Some (T (Xml.Tree.normalize_space s))
+      | e -> Some e)
+    items
+
+let merged d =
+  let elements = Elements.create 64 and memo = Pxml.Phys.create 64 in
+  let intern tag attrs items =
+    let items = canonical_children items in
+    let key = (tag, attrs, items) in
+    match Elements.find_opt elements key with
+    | Some e -> e
+    | None ->
+        let e = E (Elements.length elements, Xml.Tree.Element (tag, attrs, List.map tree_of items)) in
+        Elements.add elements key e;
+        e
+  in
+  let rec node (n : Pxml.node) : (float * item list) list =
+    match n with
+    | Pxml.Text s -> [ (1., [ T s ]) ]
+    | Pxml.Elem (tag, attrs, content) -> (
+        match Pxml.Phys.find_opt memo n with
+        | Some local -> local
+        | None ->
+            let attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) attrs in
+            let local =
+              product (List.map dist content)
+              |> List.map (fun (p, items) -> (p, [ intern tag attrs items ]))
+              |> merge_forests
+            in
+            Pxml.Phys.add memo n local;
+            local)
+  and dist (d : Pxml.dist) =
+    List.concat_map
+      (fun (c : Pxml.choice) ->
+        List.map (fun (p, items) -> (c.Pxml.prob *. p, items)) (product (List.map node c.Pxml.nodes)))
+      (live_choices d)
+    |> merge_forests
+  in
+  (* at the root each tree is canonical on its own: no text is joined *)
+  let root = List.map (function T s -> T (Xml.Tree.normalize_space s) | e -> e) in
+  List.map (fun (p, items) -> (p, root items)) (dist d)
+  |> merge_forests
+  |> List.map (fun (p, items) -> (p, List.map tree_of items))
+  |> List.sort (fun (p, f) (q, g) ->
+         match Float.compare q p with 0 -> List.compare Xml.Tree.compare_raw f g | c -> c)
 
 let distinct_count d = List.length (merged d)
 

@@ -30,10 +30,21 @@ val enumerate : ?budget:Imprecise_resilience.Budget.t -> Pxml.doc -> world Seq.t
 (** [enumerate_node n] enumerates worlds of a single probabilistic node. *)
 val enumerate_node : Pxml.node -> (float * Imprecise_xml.Tree.t) Seq.t
 
-(** [merged d] enumerates all worlds, merges those whose canonical XML is
-    equal (summing probabilities), and returns them sorted by decreasing
-    probability. [?budget] as in {!enumerate}. *)
-val merged : ?budget:Imprecise_resilience.Budget.t -> Pxml.doc -> world list
+(** [merged d] is the distribution of distinct worlds: worlds whose
+    canonical XML ({!Imprecise_xml.Tree.canonical}, each root tree on its
+    own) is equal are merged, summing their probabilities. Each world is
+    returned in canonical form; the list is sorted by decreasing
+    probability, ties by {!Imprecise_xml.Tree.compare_raw} on the forests.
+
+    It does not enumerate. One bottom-up pass gives every element and
+    every probability node its distinct local worlds, merging equal ones
+    where they arise; elements are interned by canonical form and work on
+    a physically shared subtree is done once. The cost is bounded by the
+    number of distinct local worlds (at the root, the distinct worlds
+    returned), not by the number of choice combinations times the
+    document's size. A world that no merge touches has exactly the
+    probability {!enumerate} gives it. *)
+val merged : Pxml.doc -> world list
 
 (** [distinct_count d] is the number of distinct (canonical) worlds. *)
 val distinct_count : Pxml.doc -> int

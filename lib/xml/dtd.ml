@@ -109,6 +109,8 @@ let parse_item parent t item =
     in
     let name = Tree.normalize_space name in
     if name = "" then Error (Fmt.str "empty child name in declaration for %s" parent)
+    else if not (Parser.is_name name) then
+      Error (Fmt.str "child %S of %s is not an XML name" name parent)
     else Ok (declare t ~parent ~child:name occ)
 
 let parse_line t line =
@@ -126,6 +128,8 @@ let parse_line t line =
         let parent = Tree.normalize_space (String.sub line 0 i) in
         let rest = String.sub line (i + 1) (String.length line - i - 1) in
         if parent = "" then Error (Fmt.str "missing parent name in %S" line)
+        else if not (Parser.is_name parent) then
+          Error (Fmt.str "parent %S is not an XML name in %S" parent line)
         else
           List.fold_left
             (fun acc item ->

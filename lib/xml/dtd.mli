@@ -54,7 +54,9 @@ val infer : Tree.t list -> t
 (** [of_string s] parses a compact textual form, one declaration per line:
     ["person: nm, tel?, address*"] declares [nm] as exactly-one, [tel] as
     at-most-one and [address] as any, under [person]. A trailing [+] means
-    one-or-more. Blank lines and [#] comments are ignored. *)
+    one-or-more. Blank lines and [#] comments are ignored. A parent or
+    child that is not an XML name ({!Parser.is_name}), such as [nm!] or
+    the [:: ?] of [garbage ::: ??], is an [Error]. *)
 val of_string : string -> (t, string) result
 
 val to_string : t -> string

@@ -57,6 +57,8 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+let is_name s = s <> "" && is_name_start s.[0] && String.for_all is_name_char s
+
 let parse_name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in

@@ -14,6 +14,11 @@ val pp_error : Format.formatter -> error -> unit
 
 val error_to_string : error -> string
 
+(** [is_name s] holds when [s] is a name as this parser reads one: a
+    letter, [_], [:] or a non-ASCII byte, then any of those, digits, [-]
+    and [.]. *)
+val is_name : string -> bool
+
 (** [parse_string s] parses a complete document and returns its root
     element. Leading/trailing prolog and misc content is allowed. *)
 val parse_string : string -> (Tree.t, error) result

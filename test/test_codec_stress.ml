@@ -4,7 +4,9 @@
    - 500 random probabilistic documents (seeded, reproducible) encode and
      decode BIT-identically — probabilities compared by their IEEE-754
      bits, not an epsilon — and re-encoding a decoded (physically shared)
-     document gives the same bytes; plus the XML attribute codec
+     document gives the same bytes, as does encoding an unshared copy
+     of a document whose joint probability nodes repeat node objects
+     (the §VI and Figure 2 integrations among them); plus the XML attribute codec
      round-trip on hostile floats (0.1 +. 0.2, subnormals, 1e-300).
    - The encoder shares strings by value and subtrees by structure. The
      reference below writes legacy frames, shared by allocation only:
@@ -374,9 +376,27 @@ let check_copy_is_one_reference seed tree =
     fail seed "a fresh deep copy cost %d bytes, not one %d-byte back-reference" (double - single)
       reference
 
+(* A node met again as the same object under a multi-choice probability
+   node is written as a back-reference without a walk; the bytes must be
+   those of an unshared copy, whose repeat the key lookup finds. *)
+let check_identity_lookup seed what doc =
+  if not (String.equal (Bincodec.doc_to_string doc) (Bincodec.doc_to_string (fresh_dist doc)))
+  then fail seed "%s: the frame differs from that of an unshared copy" what
+
 let check_roundtrip seed =
   let doc = fst (Random_docs.pxml (Prng.make seed) ~depth:(2 + (seed mod 2))) in
   ignore (check_doc seed "document" doc);
+  (* a joint probability node repeating its nodes, as integration's does *)
+  let nodes = List.concat_map (fun (c : Pxml.choice) -> c.Pxml.nodes) doc.Pxml.choices in
+  let joint =
+    Pxml.certain
+      [
+        Pxml.elem "joint"
+          [ Pxml.dist [ Pxml.choice ~prob:0.5 nodes; Pxml.choice ~prob:0.5 (List.rev nodes) ] ];
+      ]
+  in
+  ignore (check_doc seed "joint document" joint);
+  check_identity_lookup seed "joint document" joint;
   let tail =
     let s = fresh "tail" in
     Pxml.Elem ("t", [ ("k", s) ], [ Pxml.certain [ Pxml.Text s ] ])
@@ -803,6 +823,7 @@ let () =
   check_hostile_store ();
   check_legacy_frame ();
   check_compression ();
+  List.iter (fun (what, doc, _) -> check_identity_lookup 0 what doc) (pinned_docs ());
   Fmt.pr
     "codec-stress: %d round-trip cases, 20 corruption cases, %d hostile frames, %d hostile \
      floats, 3 store scenarios, %d failures@."

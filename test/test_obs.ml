@@ -378,6 +378,20 @@ let test_quantile_zeros () =
   check feq "p50 lands in the zero bucket" 0. (Obs.Quantile.estimate q 0.5);
   within "p99 still sees the positive tail" 100. (Obs.Quantile.estimate q 0.99)
 
+(* A bucket's midpoint can lie past the observations it holds: one save
+   of 1 ms read p50 = p99 = 1.051 next to max 1.000. *)
+let test_quantile_clamped () =
+  let q = Obs.Quantile.create () in
+  Obs.Quantile.add q 1.;
+  List.iter
+    (fun p -> check feq (Printf.sprintf "one observation: q%g" p) 1. (Obs.Quantile.estimate q p))
+    [ 0.; 0.5; 0.9; 0.99; 1. ];
+  Obs.Quantile.clear q;
+  List.iter (Obs.Quantile.add q) [ 2.6; 7.25 ];
+  let p50 = Obs.Quantile.estimate q 0.5 and p99 = Obs.Quantile.estimate q 0.99 in
+  if p50 < 2.6 || p99 > 7.25 then
+    Alcotest.failf "readings %g and %g outside the observed [2.6, 7.25]" p50 p99
+
 let test_histogram_quantiles () =
   let r = Metrics.registry () in
   let h = Metrics.histogram ~registry:r "lat" in
@@ -894,6 +908,7 @@ let suite =
       [
         t "estimates within the declared error bound" test_quantile_accuracy;
         t "zeros and negatives report as 0" test_quantile_zeros;
+        t "readings clamped to the observed min and max" test_quantile_clamped;
         t "histogram stats expose p50/p90/p99" test_histogram_quantiles;
         t "to_text/to_json are sorted by metric name" test_rendered_output_sorted;
       ] );

@@ -199,12 +199,20 @@ let test_dtd_parse () =
   check Alcotest.bool "undeclared" false (Dtd.max_one d ~parent:"person" ~child:"x")
 
 let test_dtd_parse_errors () =
-  (match Dtd.of_string "no-colon-here" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error");
-  match Dtd.of_string ": tel?" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error"
+  List.iter
+    (fun s ->
+      match Dtd.of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "expected an error for %S" s)
+    [
+      "no-colon-here";
+      ": tel?";
+      "person: nm!, tel?";
+      "garbage ::: ??";
+      "per son: nm";
+      "person: 1st";
+      "person: nm tel";
+    ]
 
 let test_dtd_validate () =
   let d = dtd_of_string "person: nm, tel?" in

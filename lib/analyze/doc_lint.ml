@@ -1,4 +1,5 @@
 module Pxml = Imprecise_pxml.Pxml
+module Compact = Imprecise_pxml.Compact
 
 (* Coarse tolerance the decoder applies to probability sums; drift beyond
    [Pxml.epsilon] but inside this is D004, beyond it D003. *)
@@ -19,11 +20,6 @@ let lint (doc : Pxml.doc) : Diag.t list =
           Diag.make ~location:(Diag.Doc_path (List.rev path)) ~code ~severity message
           :: !diags)
       fmt
-  in
-  let is_certain_dist (d : Pxml.dist) =
-    match d.Pxml.choices with
-    | [ { Pxml.prob; _ } ] -> Float.abs (prob -. 1.) <= decoder_tolerance
-    | _ -> false
   in
   (* [rev_path] grows towards the root; locations reverse it back. *)
   let rec lint_dist rev_path i (d : Pxml.dist) =
@@ -56,23 +52,16 @@ let lint (doc : Pxml.doc) : Diag.t list =
           choices;
         (* Deep-equal siblings: the choice is not really a choice. *)
         List.iteri
-          (fun j0 (c : Pxml.choice) ->
-            let rec first_equal k = function
-              | [] -> None
-              | (c' : Pxml.choice) :: rest ->
-                  if k < j0 && List.equal Pxml.equal_node c.Pxml.nodes c'.Pxml.nodes then
-                    Some (k + 1)
-                  else first_equal (k + 1) rest
-            in
-            match first_equal 0 choices with
-            | Some k when k <= j0 ->
+          (fun j0 first ->
+            Option.iter
+              (fun k0 ->
                 emit ~code:"D006" ~severity:Diag.Warning
                   ~path:(poss_component (j0 + 1) :: path)
                   "possibility %d is deep-equal to possibility %d: compaction was \
                    never run"
-                  (j0 + 1) k
-            | _ -> ())
-          choices);
+                  (j0 + 1) (k0 + 1))
+              first)
+          (Compact.first_equal choices));
     List.iteri
       (fun j0 (c : Pxml.choice) ->
         let cpath = poss_component (j0 + 1) :: path in
@@ -89,7 +78,10 @@ let lint (doc : Pxml.doc) : Diag.t list =
         (* Adjacent certain probability nodes could be one. *)
         let rec adjacent i = function
           | a :: (b :: _ as rest) ->
-              if is_certain_dist a && is_certain_dist b then
+              if
+                Pxml.is_certain_choice_list a.Pxml.choices
+                && Pxml.is_certain_choice_list b.Pxml.choices
+              then
                 emit ~code:"D008" ~severity:Diag.Info ~path:(prob_component (i + 1) :: path)
                   "adjacent certain probability nodes %d and %d can be merged" i (i + 1);
               adjacent (i + 1) rest

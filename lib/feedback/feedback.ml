@@ -151,7 +151,7 @@ let rec replace_dist (d : Pxml.dist) path (new_dist : Pxml.dist) : Pxml.dist opt
                             if i = s.choice then { c' with Pxml.nodes = nodes' } else c')
                           d.Pxml.choices
                       in
-                      Some { Pxml.choices = choices' }))))
+                      Some (Pxml.dist_unchecked choices')))))
 
 let eps = Direct.eps
 
@@ -173,7 +173,7 @@ let prune_by_ranks doc ~query ~value ~correct =
   (* A possibility is deleted when choosing it makes the assertion certainly
      false: asserted-present but P = 0, or asserted-absent but P = 1. *)
   let choice_impossible doc path (c : Pxml.choice) =
-    match replace_dist doc path { Pxml.choices = [ { c with Pxml.prob = 1. } ] } with
+    match replace_dist doc path (Pxml.certain c.Pxml.nodes) with
     | None -> false
     | Some hyp -> (
         match answer_prob hyp with
@@ -200,7 +200,7 @@ let prune_by_ranks doc ~query ~value ~correct =
             let renorm =
               List.map (fun (c : Pxml.choice) -> { c with Pxml.prob = c.prob /. total }) kept
             in
-            match replace_dist !doc path { Pxml.choices = renorm } with
+            match replace_dist !doc path (Pxml.dist_unchecked renorm) with
             | Some doc' ->
                 doc := doc';
                 changed := true

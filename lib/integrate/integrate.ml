@@ -723,16 +723,16 @@ module Fold = struct
     let scored t = count_b t > 0 && not (always_reconciled t) in
     (* 1. Every distinct child, in order of first appearance. Children
        are shared between possibilities (a joint probability node repeats
-       its clusters' nodes), so they are keyed by identity. *)
-    let index = P.Phys.create 16 in
+       its clusters' nodes), so they are keyed by structure. *)
+    let index = P.Table.create 16 in
     let distinct = ref [] in
     List.iter
       (List.iter
          (fun (_, ns) ->
            List.iter
              (fun n ->
-               if not (P.Phys.mem index n) then begin
-                 P.Phys.add index n (P.Phys.length index);
+               if not (P.Table.mem index n) then begin
+                 P.Table.add index n (P.Table.length index);
                  distinct := n :: !distinct
                end)
              ns))
@@ -789,7 +789,7 @@ module Fold = struct
         distinct
     in
     let touches n =
-      capped (tag_of n) || List.exists (fun (_, v) -> v.edges <> []) alternatives.(P.Phys.find index n)
+      capped (tag_of n) || List.exists (fun (_, v) -> v.edges <> []) alternatives.(P.Table.find index n)
     in
     (* 4. Group the touched probability nodes with the source children
        they reach: union-find over the nodes, then the source children. *)
@@ -826,7 +826,7 @@ module Fold = struct
                 (fun n ->
                   List.iter
                     (fun (_, v) -> List.iter (fun (r, _) -> union d (n_dists + r)) v.edges)
-                    alternatives.(P.Phys.find index n);
+                    alternatives.(P.Table.find index n);
                   Option.iter
                     (fun r -> union d (n_dists + r))
                     (Hashtbl.find_opt capped_right (tag_of n)))
@@ -867,7 +867,7 @@ module Fold = struct
         (fun g ->
           let dists, rights = Hashtbl.find groups g in
           group cfg trace tag ~count_b
-            ~alternatives:(fun n -> alternatives.(P.Phys.find index n))
+            ~alternatives:(fun n -> alternatives.(P.Table.find index n))
             (List.rev dists) (Array.of_list rights) eb)
         (List.rev !order)
     in

@@ -58,10 +58,7 @@ let local_worlds local_expr (node : Pxml.node) =
 
 let local_distribution local_expr (node : Pxml.node) : (string * float) list =
   let local_limit = Fragment.default_local_limit in
-  let count =
-    (* world count of a single node *)
-    Pxml.world_count { Pxml.choices = [ { Pxml.prob = 1.; nodes = [ node ] } ] }
-  in
+  let count = Pxml.world_count (Pxml.certain [ node ]) in
   if count > local_limit then
     unsupported "P006: occurrence subtree has %g local worlds (limit %g)" count
       local_limit;
@@ -79,7 +76,7 @@ let local_distribution local_expr (node : Pxml.node) : (string * float) list =
 let build_etree (plan : plan) (doc : Pxml.doc) : edist =
   (* integration shares subtrees across possibilities: summarise each
      distinct subtree once *)
-  let summarise = Pxml.Phys.memo (local_distribution plan.local) in
+  let summarise = Pxml.Table.memo (local_distribution plan.local) in
   let automaton = Fragment.automaton plan in
   let advance states tag = Fragment.advance automaton states tag in
   let rec walk_dist states inside (d : Pxml.dist) : edist =
@@ -218,7 +215,7 @@ let sequence (parts : ('a * 'a side) list) : 'a list side =
 
 let renormalise weighted =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. weighted in
-  { Pxml.choices = List.map (fun (w, nodes) -> { Pxml.prob = w /. total; nodes }) weighted }
+  Pxml.dist_unchecked (List.map (fun (w, nodes) -> { Pxml.prob = w /. total; nodes }) weighted)
 
 let rec node_side local v (n : Pxml.node) (t : etree option) : Pxml.node side =
   match (t, n) with
@@ -309,7 +306,7 @@ and dist_side local v (d : Pxml.dist) (cs : edist) : Pxml.dist side =
 
 let condition doc expr ~value ~present =
   let plan, edist = walk doc expr in
-  let local = Pxml.Phys.memo (fun n -> List.of_seq (local_worlds plan.local n)) in
+  let local = Pxml.Table.memo (fun n -> List.of_seq (local_worlds plan.local n)) in
   let s = dist_side local value doc edist in
   if present then
     if s.can_emit then Some (snd (List.hd (Lazy.force s.given_emit))) else None
@@ -366,12 +363,10 @@ let map_dists f (n : Pxml.node) =
     let i = !k in
     incr k;
     f i
-      {
-        Pxml.choices =
-          List.map
+      (Pxml.dist_unchecked
+         (List.map
             (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map node c.Pxml.nodes })
-            d.Pxml.choices;
-      }
+            d.Pxml.choices))
   in
   node n
 
@@ -393,7 +388,7 @@ let restrict (d : Pxml.dist) ~doomed ~rebuild =
         else { c with Pxml.nodes })
       kept
   in
-  if (not pruned) && List.for_all2 ( == ) choices d.Pxml.choices then d else { Pxml.choices }
+  if (not pruned) && List.for_all2 ( == ) choices d.Pxml.choices then d else Pxml.dist_unchecked choices
 
 let rec has_zero_choice (n : Pxml.node) =
   match n with
@@ -420,7 +415,7 @@ let local_hypotheticals local_expr v (n : Pxml.node) =
             List.map
               (fun (c : Pxml.choice) ->
                 let force i d' =
-                  if i = k then { Pxml.choices = [ { c with Pxml.prob = 1. } ] } else d'
+                  if i = k then Pxml.certain c.Pxml.nodes else d'
                 in
                 1.
                 -. Seq.fold_left
@@ -510,7 +505,7 @@ let prune doc expr ~value ~present =
   let ctx =
     {
       doomed;
-      hypotheticals = Pxml.Phys.memo (local_hypotheticals plan.local value);
+      hypotheticals = Pxml.Table.memo (local_hypotheticals plan.local value);
     }
   in
   let s = prune_dist ctx value doc edist in

@@ -141,32 +141,26 @@ end
 
 (* ---- encoding ----------------------------------------------------------
 
-   Each call hash-conses its document on its own. A string's key is its
-   value; a node's key is its tag, its attributes and the definition ids of
-   its children (probabilities by their bits), and a table local to the
-   call maps each key to its definition id. Because the key needs the
-   children's ids, a node's body is written first; when its key turns out
-   to be defined already, the buffer is cut back to the node's start and a
+   Each call hash-conses its document on its own. A pxml node is looked up
+   in a structural table ({!Pxml.Table}) before it is written: a node met
+   before, as the same object or an equal copy, is a back-reference, and a
+   new one is written and then numbered, after its children. Strings are
+   keyed by value. A probability node and a certain tree's node are keyed
+   by their tag, attributes and the definition ids of their children
+   (probabilities by their bits); because the key needs the children's
+   ids, such a body is written first, and when its key turns out to be
+   defined already the buffer is cut back to its start and a
    back-reference written instead. Nothing can have been defined inside
    such a duplicate: its earlier occurrence defined every child and every
    string value in it, so the body written was back-references only. One
-   pass, no global state; the tables die with the call.
-
-   A joint probability node repeats its clusters' nodes, as the same
-   objects, in every possibility. So the nodes of a multi-choice
-   probability node are also looked up by identity: one met again is
-   written as the back-reference the cut-back would leave, without
-   walking it again. Only there: a lookup per node of an unshared
-   document would cost a hash of each node for nothing. *)
+   pass, no global state; the tables die with the call. *)
 
 type key =
   | K_text of string
   | K_elem of string * (string * string) list * int list
   | K_dist of (float * int list) list
 
-let mix h x = (h * 16777619) lxor x
-
-let mix_ids h ids = List.fold_left mix h ids
+let mix_ids h ids = List.fold_left Pxml.mix h ids
 
 let bits p = Int64.bits_of_float p
 
@@ -179,11 +173,11 @@ let hash_key k =
     | K_elem (tag, attrs, kids) ->
         mix_ids
           (List.fold_left
-             (fun h (k, v) -> mix (mix h (Hashtbl.hash k)) (Hashtbl.hash v))
-             (mix 5 (Hashtbl.hash tag)) attrs)
+             (fun h (k, v) -> Pxml.mix (Pxml.mix h (Hashtbl.hash k)) (Hashtbl.hash v))
+             (Pxml.mix 5 (Hashtbl.hash tag)) attrs)
           kids
     | K_dist choices ->
-        List.fold_left (fun h (p, ids) -> mix_ids (mix h (Int64.to_int (bits p))) ids) 17 choices)
+        List.fold_left (fun h (p, ids) -> mix_ids (Pxml.mix h (Int64.to_int (bits p))) ids) 17 choices)
 
 let equal_key a b =
   match (a, b) with
@@ -220,9 +214,8 @@ type encoder = {
   buf : Buffer.t;
   strings : int Strings.t;
   trees : defs;
-  nodes : defs;
+  nodes : int Pxml.Table.t;
   dists : defs;
-  seen : int Pxml.Phys.t;
 }
 
 let put_string e s =
@@ -278,47 +271,38 @@ let rec put_tree e t =
   in
   close e e.trees ~start key
 
-(* [put_shared e n] is [put_node e n] for a node that may be a repeat. *)
-let rec put_shared e (n : Pxml.node) =
-  match Pxml.Phys.find_opt e.seen n with
+let rec put_node e (n : Pxml.node) =
+  match Pxml.Table.find_opt e.nodes n with
   | Some k ->
       put_varint e.buf (k + 1);
       k
   | None ->
-      let k = put_node e n in
-      Pxml.Phys.add e.seen n k;
+      put_varint e.buf 0;
+      (match n with
+      | Pxml.Text s ->
+          Buffer.add_char e.buf '\000';
+          put_string e s
+      | Pxml.Elem (tag, attrs, content) ->
+          Buffer.add_char e.buf '\001';
+          put_string e tag;
+          put_attrs e attrs;
+          put_varint e.buf (List.length content);
+          List.iter (fun d -> ignore (put_dist e d : int)) content);
+      let k = Pxml.Table.length e.nodes in
+      Pxml.Table.add e.nodes n k;
       k
-
-and put_node e (n : Pxml.node) =
-  let start = Buffer.length e.buf in
-  put_varint e.buf 0;
-  let key =
-    match n with
-    | Pxml.Text s ->
-        Buffer.add_char e.buf '\000';
-        put_string e s;
-        K_text s
-    | Pxml.Elem (tag, attrs, content) ->
-        Buffer.add_char e.buf '\001';
-        put_string e tag;
-        put_attrs e attrs;
-        put_varint e.buf (List.length content);
-        K_elem (tag, attrs, List.map (put_dist e) content)
-  in
-  close e e.nodes ~start key
 
 and put_dist e (d : Pxml.dist) =
   let start = Buffer.length e.buf in
   put_varint e.buf 0;
   put_varint e.buf (List.length d.choices);
-  let multi = match d.choices with [] | [ _ ] -> false | _ -> true in
   let key =
     K_dist
       (List.map
          (fun (c : Pxml.choice) ->
            put_float e.buf c.prob;
            put_varint e.buf (List.length c.nodes);
-           (c.prob, List.map (if multi then put_shared e else put_node e) c.nodes))
+           (c.prob, List.map (put_node e) c.nodes))
          d.choices)
   in
   close e e.dists ~start key
@@ -330,9 +314,8 @@ let encode ~kind put v =
       buf = Buffer.create 1024;
       strings = Strings.create 64;
       trees = defs ();
-      nodes = defs ();
+      nodes = Pxml.Table.create 64;
       dists = defs ();
-      seen = Pxml.Phys.create 64;
     }
   in
   ignore (put e v : int);

@@ -16,9 +16,10 @@
     a varint [k] — [k = 0] introduces a definition (body follows, appended
     post-order to that production's table), [k > 0] is a back-reference to
     definition [k-1]. Each encode hash-conses the document in tables of its
-    own (a string by its value, a node by its tag, attributes and its
-    children's definitions, probabilities by their bits), so equal strings
-    and deep-equal subtrees are written once. Encoding touches no global
+    own (a string by its value, a pxml node through {!Pxml.Table}, any
+    other node by its tag or probabilities (by their bits), attributes and
+    children's definitions), so equal strings and deep-equal subtrees are
+    written once. Encoding touches no global
     state and keeps nothing after it returns. Decoding rebuilds the same
     sharing physically. Probabilities travel as their IEEE-754 bits
     (little-endian), so the round-trip is bit-exact — no text formatting is

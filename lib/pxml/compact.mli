@@ -13,11 +13,16 @@
     The paper's incremental-improvement story (feedback removes impossible
     worlds) relies on compaction to actually reclaim the space. *)
 
-(** [compact d] applies all rules bottom-up until a fixpoint. Raises
+(** [compact d] applies all rules in one bottom-up pass, memoised on
+    {!Pxml.Table}: equal subtrees are compacted once and come out as one
+    shared object, and equal possibilities merge into the first of them
+    through {!first_equal}. The result is a fixpoint. Raises
     {!Pxml.Invalid} if a possibility's probability is NaN. *)
 val compact : Pxml.doc -> Pxml.doc
 
-val compact_node : Pxml.node -> Pxml.node
+(** [first_equal choices] is, per possibility, the position of the first
+    earlier one with equal nodes ({!Pxml.equal_node}), found by hash. *)
+val first_equal : Pxml.choice list -> int option list
 
 (** [prune_threshold] — possibilities below this probability are considered
     impossible by {!compact} (default [1e-12]); exposed for tests. *)

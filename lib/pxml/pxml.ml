@@ -4,7 +4,7 @@ type node =
   | Elem of Xml.Tree.name * (Xml.Tree.name * string) list * dist list
   | Text of string
 
-and dist = { choices : choice list }
+and dist = { choices : choice list; mutable shape : int }
 
 and choice = { prob : float; nodes : node list }
 
@@ -29,13 +29,15 @@ let check_dist choices =
   if not (Float.abs (sum -. 1.) <= 1e-6) then
     raise (Invalid (Fmt.str "possibility probabilities sum to %g, not 1" sum))
 
+let dist_unchecked choices = { choices; shape = -1 }
+
 let dist choices =
   check_dist choices;
-  { choices }
+  dist_unchecked choices
 
 let choice ~prob nodes = { prob; nodes }
 
-let certain nodes = { choices = [ { prob = 1.; nodes } ] }
+let certain nodes = dist_unchecked [ { prob = 1.; nodes } ]
 
 let elem ?(attrs = []) tag content = Elem (tag, attrs, content)
 
@@ -181,13 +183,66 @@ and equal_choice a b =
 
 let equal = equal_dist
 
-module Phys = struct
+(* ---- shape hashes and the structural node table ------------------------ *)
+
+let mix h x = (h * 16777619) lxor x
+
+(* Tags, attributes, text and nesting, not probabilities: choices that
+   [equal_node] merges up to epsilon hash alike. A dist's hash is filled on
+   first use from its nodes' hashes, which read their content dists' cached
+   hashes, so each dist is hashed once however often it occurs. Two domains
+   filling one dist at once write the same int. [Hashtbl.hash] on the mixed
+   int spreads it over all bits. *)
+let rec hash_node = function
+  | Text s -> Hashtbl.hash (mix 3 (Hashtbl.hash s))
+  | Elem (tag, attrs, content) ->
+      let h =
+        List.fold_left
+          (fun h (k, v) -> mix (mix h (Hashtbl.hash k)) (Hashtbl.hash v))
+          (mix 5 (Hashtbl.hash tag)) attrs
+      in
+      Hashtbl.hash (List.fold_left (fun h d -> mix h (hash_dist d)) h content)
+
+and hash_dist d =
+  if d.shape >= 0 then d.shape
+  else begin
+    let nodes h c = mix (List.fold_left (fun h n -> mix h (hash_node n)) h c.nodes) 11 in
+    let h = Hashtbl.hash (List.fold_left nodes 17 d.choices) in
+    d.shape <- h;
+    h
+  end
+
+(* Structural equality with probabilities compared bit for bit: nodes it
+   equates give bit-identical results under any computation. Filled hashes
+   that differ settle a pair of dists at once. *)
+let rec same_node a b =
+  a == b
+  ||
+  match a, b with
+  | Text x, Text y -> String.equal x y
+  | Elem (t1, a1, c1), Elem (t2, a2, c2) ->
+      String.equal t1 t2
+      && List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2) a1 a2
+      && List.equal same_dist c1 c2
+  | Text _, Elem _ | Elem _, Text _ -> false
+
+and same_dist a b =
+  a == b
+  || (a.shape < 0 || b.shape < 0 || a.shape = b.shape)
+     && List.equal
+          (fun a b ->
+            a == b
+            || Int64.equal (Int64.bits_of_float a.prob) (Int64.bits_of_float b.prob)
+               && List.equal same_node a.nodes b.nodes)
+          a.choices b.choices
+
+module Table = struct
   include Hashtbl.Make (struct
     type t = node
 
-    let equal = ( == )
+    let equal = same_node
 
-    let hash = Hashtbl.hash
+    let hash = hash_node
   end)
 
   let memo f =

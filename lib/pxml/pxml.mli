@@ -17,7 +17,13 @@
 
     The root of a document is a probability node. A document in which every
     probability node has exactly one possibility of probability 1 is
-    {e certain}. *)
+    {e certain}.
+
+    A {!dist} carries a shape hash that is filled the first time it is
+    needed, so two equal values may differ in that field. Compare Pxml
+    values with {!equal}, {!equal_node} or {!Table}, and hash them with
+    {!hash_node}; never with polymorphic [=], [compare] or
+    [Hashtbl.hash]. *)
 
 module Xml = Imprecise_xml
 
@@ -25,7 +31,10 @@ type node =
   | Elem of Xml.Tree.name * (Xml.Tree.name * string) list * dist list
   | Text of string
 
-and dist = { choices : choice list }
+(** Built only by {!dist}, {!dist_unchecked} and {!certain}. [shape] is
+    the cached shape hash, [-1] until first used; read it through
+    {!hash_node}. *)
+and dist = private { choices : choice list; mutable shape : int }
 
 and choice = { prob : float; nodes : node list }
 
@@ -42,6 +51,11 @@ exception Invalid of string
     is empty, a probability is outside [0, 1+ε], or the sum differs from 1
     by more than {!epsilon}. *)
 val dist : choice list -> dist
+
+(** [dist_unchecked choices] is {!dist} without the checks, for passes
+    that derive probabilities from a valid document (and must not fail
+    on its rounding) and for building invalid documents on purpose. *)
+val dist_unchecked : choice list -> dist
 
 val choice : prob:float -> node list -> choice
 
@@ -67,6 +81,11 @@ val doc_of_tree : Xml.Tree.t -> doc
 val to_tree_exn : doc -> Xml.Tree.t list
 
 val is_certain : doc -> bool
+
+(** [is_certain_choice_list cs] holds when [cs] is one possibility of
+    probability 1 (within [1e-6]): a probability node that chooses
+    nothing. *)
+val is_certain_choice_list : choice list -> bool
 
 (** {1 Validation} *)
 
@@ -108,15 +127,28 @@ val equal_node : node -> node -> bool
 
 val equal : doc -> doc -> bool
 
-(** Tables keyed by physical identity. Integration shares subtrees
-    between possibilities and a decoded [.ipx] frame rebuilds its
-    sharing, so work memoised per node object runs once per distinct
-    subtree, not once per occurrence. Structurally equal but separately
-    allocated nodes are different keys. *)
-module Phys : sig
+(** {1 Node identity} *)
+
+(** [hash_node n] is [n]'s shape hash: it covers tags, attributes, text
+    and nesting, not probabilities, so nodes that {!equal_node} equates
+    hash alike. Each dist caches its own on first use, so the cost of
+    hashing a node is its own tag, attributes and content list. *)
+val hash_node : node -> int
+
+(** [mix h x] folds [x] into the running hash [h] (FNV-style; spread the
+    result with [Hashtbl.hash] before using its low bits). *)
+val mix : int -> int -> int
+
+(** Tables keyed by structure. The hash is {!hash_node}; two keys are
+    equal when they are structurally equal with every probability equal
+    bit for bit, and at once when they are the same object. Work memoised
+    per key runs once per distinct subtree, not once per occurrence or per
+    separately allocated copy, and gives bit-identical results for every
+    node it stands for. *)
+module Table : sig
   include Hashtbl.S with type key = node
 
-  (** [memo f] is [f] computed once per node object, in a table that
+  (** [memo f] is [f] computed once per distinct node, in a table that
       lives as long as the returned function. *)
   val memo : (node -> 'a) -> node -> 'a
 end

@@ -78,10 +78,8 @@ let equal_item a b =
   | T x, T y -> String.equal x y
   | (E _ | T _), _ -> false
 
-let mix h x = (h * 16777619) lxor x
-
 let hash_items h items =
-  List.fold_left (fun h -> function E (i, _) -> mix h i | T s -> mix h (Hashtbl.hash s)) h items
+  List.fold_left (fun h -> function E (i, _) -> Pxml.mix h i | T s -> Pxml.mix h (Hashtbl.hash s)) h items
 
 module Forests = Hashtbl.Make (struct
   type t = item list
@@ -149,7 +147,7 @@ let canonical_children items =
     items
 
 let merged d =
-  let elements = Elements.create 64 and memo = Pxml.Phys.create 64 in
+  let elements = Elements.create 64 and memo = Pxml.Table.create 64 in
   let intern tag attrs items =
     let items = canonical_children items in
     let key = (tag, attrs, items) in
@@ -164,7 +162,7 @@ let merged d =
     match n with
     | Pxml.Text s -> [ (1., [ T s ]) ]
     | Pxml.Elem (tag, attrs, content) -> (
-        match Pxml.Phys.find_opt memo n with
+        match Pxml.Table.find_opt memo n with
         | Some local -> local
         | None ->
             let attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) attrs in
@@ -173,7 +171,7 @@ let merged d =
               |> List.map (fun (p, items) -> (p, [ intern tag attrs items ]))
               |> merge_forests
             in
-            Pxml.Phys.add memo n local;
+            Pxml.Table.add memo n local;
             local)
   and dist (d : Pxml.dist) =
     List.concat_map

@@ -39,7 +39,7 @@ val enumerate_node : Pxml.node -> (float * Imprecise_xml.Tree.t) Seq.t
     It does not enumerate. One bottom-up pass gives every element and
     every probability node its distinct local worlds, merging equal ones
     where they arise; elements are interned by canonical form and work on
-    a physically shared subtree is done once. The cost is bounded by the
+    an equal subtree ({!Pxml.Table}) is done once. The cost is bounded by the
     number of distinct local worlds (at the root, the distinct worlds
     returned), not by the number of choice combinations times the
     document's size. A world that no merge touches has exactly the

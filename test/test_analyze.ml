@@ -29,7 +29,7 @@ let contains_sub hay needle =
 
 (* Raw record builders so the linter tests can construct deliberately
    invalid distributions. *)
-let raw_dist choices = { Pxml.choices }
+let raw_dist choices = Pxml.dist_unchecked choices
 
 let raw_choice prob nodes = { Pxml.prob; nodes }
 

@@ -346,10 +346,8 @@ let rec fresh_node = function
   | Pxml.Elem (tag, attrs, content) -> Pxml.Elem (fresh tag, fresh_attrs attrs, List.map fresh_dist content)
 
 and fresh_dist (d : Pxml.dist) =
-  {
-    Pxml.choices =
-      List.map (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map fresh_node c.nodes }) d.choices;
-  }
+  Pxml.dist_unchecked
+    (List.map (fun (c : Pxml.choice) -> { c with Pxml.nodes = List.map fresh_node c.nodes }) d.choices)
 
 let varint_length n =
   let rec go n = if n < 0x80 then 1 else 1 + go (n lsr 7) in
@@ -465,13 +463,11 @@ let check_float_attr () =
       if p > 0. && p < 1. then
         let q = 1. -. p in
         let doc =
-          {
-            Pxml.choices =
-              [
-                { Pxml.prob = p; nodes = [ Pxml.Text "yes" ] };
-                { Pxml.prob = q; nodes = [ Pxml.Text "no" ] };
-              ];
-          }
+          Pxml.dist_unchecked
+            [
+              { Pxml.prob = p; nodes = [ Pxml.Text "yes" ] };
+              { Pxml.prob = q; nodes = [ Pxml.Text "no" ] };
+            ]
         in
         match Codec.of_string (Codec.to_string doc) with
         | Error e -> fail 0 "xml codec rejected hostile-prob doc: %s" e

@@ -238,7 +238,8 @@ let test_posterior_shares_untouched () =
   | Some
       {
         Pxml.choices =
-          [ { nodes = [ Pxml.Elem (_, _, [ { choices = [ { nodes = [ m ]; _ } ] }; _ ]) ]; _ } ];
+          [ { nodes = [ Pxml.Elem (_, _, [ { choices = [ { nodes = [ m ]; _ } ]; _ }; _ ]) ]; _ } ];
+        _;
       } ->
       check Alcotest.bool "Mary shared" true (m == mary)
   | _ -> Alcotest.fail "unexpected posterior shape"

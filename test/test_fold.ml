@@ -20,7 +20,8 @@
    It also asserts that every world of a fold validates against the DTD,
    that [integrate_many] of two sources is ordinary integration, that a
    fold past the old limit of 1000 prior choice combinations succeeds, and
-   that [max_possibilities] caps a touched group's enumeration.
+   that [max_possibilities] caps a touched group's enumeration, and that
+   folding a source back in ([integrate_many [a; b; a]]) finishes.
 
    Runs under `dune runtest` and alone via `dune build @fold-stress`; the
    random case count is overridable through FOLD_CASES. *)
@@ -298,6 +299,22 @@ let capped_by_max_possibilities () =
   | Ok _ -> ()
   | Error e -> fail "cap" "the fold failed under the default cap: %a" Integrate.pp_error e
 
+(* Folding a source back into its own integration with another: the fold
+   hands [Compact] a root of hundreds of thousands of choices, many of them
+   equal, which a pairwise merge never finished. *)
+let source_again () =
+  List.iter
+    (fun (n, m) ->
+      let label = Printf.sprintf "[a; b; a] on larger %d %d" n m in
+      let a, b = Addressbook.larger n m in
+      match Imprecise.integrate_many ~rules:Rulesets.generic ~dtd:Addressbook.dtd [ a; b; a ] with
+      | Error e -> fail label "%a" Integrate.pp_error e
+      | Ok doc -> (
+          (match Pxml.validate doc with Ok () -> () | Error msg -> fail label "invalid: %s" msg);
+          if not (Pxml.equal (Compact.compact doc) doc) then
+            fail label "a second compaction changes the document"))
+    [ (5, 4); (7, 6); (10, 8) ]
+
 let () =
   for seed = 0 to cases - 1 do
     random_case seed
@@ -307,6 +324,7 @@ let () =
   two_sources_unchanged ();
   past_the_old_limit ();
   capped_by_max_possibilities ();
+  source_again ();
   if !failures > 0 then begin
     Fmt.epr "%d structural-fold failure(s)@." !failures;
     exit 1
@@ -314,5 +332,5 @@ let () =
   Fmt.pr
     "structural fold: %d random cases + Fig. 2 + 18 movie folds, %d compared equal to the \
      reference (%d failed alike); two-source integrate_many unchanged; a fold past 1000 \
-     combinations succeeds@."
+     combinations succeeds; [a; b; a] folds on three address-book sizes@."
     cases !compared !both_failed

@@ -224,18 +224,27 @@ let decoded doc =
   | Ok (Bincodec.Probabilistic d) -> d
   | Ok (Bincodec.Certain _) | Error _ -> failwith "decoded: not a probabilistic frame"
 
+module Objects = Hashtbl.Make (struct
+  type t = Pxml.node
+
+  let equal = ( == )
+
+  let hash = Pxml.hash_node
+end)
+
 (* A decoded frame rebuilds deep-equal subtrees as one object: the walk
-   must find a physically shared node (not only equal ones). *)
+   must find a physically shared node (not only equal ones), so it keys
+   on identity where [Pxml.Table] would also equate copies. *)
 let shares_nodes doc =
-  let seen = Pxml.Phys.create 64 in
+  let seen = Objects.create 64 in
   let shared = ref false in
   let rec node n =
     match n with
     | Pxml.Text _ -> ()
     | Pxml.Elem (_, _, content) ->
-        if Pxml.Phys.mem seen n then shared := true
+        if Objects.mem seen n then shared := true
         else begin
-          Pxml.Phys.add seen n ();
+          Objects.add seen n ();
           List.iter dist content
         end
   and dist (d : Pxml.dist) = List.iter (fun (c : Pxml.choice) -> List.iter node c.Pxml.nodes) d.Pxml.choices in

@@ -64,7 +64,8 @@ let test_dist_validation () =
 
 let test_validate_deep () =
   let bad =
-    { Pxml.choices = [ { Pxml.prob = 1.; nodes = [ Pxml.Elem ("a", [], [ { Pxml.choices = [ { Pxml.prob = 0.4; nodes = [] } ] } ]) ] } ] }
+    Pxml.dist_unchecked
+      [ { Pxml.prob = 1.; nodes = [ Pxml.Elem ("a", [], [ Pxml.dist_unchecked [ { Pxml.prob = 0.4; nodes = [] } ] ]) ] } ]
   in
   check Alcotest.bool "nested invalid detected" true (Result.is_error (Pxml.validate bad));
   check Alcotest.bool "fig2 valid" true (Result.is_ok (Pxml.validate fig2_doc))
@@ -207,7 +208,7 @@ let test_compact_idempotent_fig2 () =
    to make compaction loop forever. *)
 let test_compact_rejects_nan () =
   let raw probs =
-    { Pxml.choices = List.mapi (fun i prob -> { Pxml.prob; nodes = [ Pxml.text (string_of_int i) ] }) probs }
+    Pxml.dist_unchecked (List.mapi (fun i prob -> { Pxml.prob; nodes = [ Pxml.text (string_of_int i) ] }) probs)
   in
   let rejects label d =
     match Compact.compact (Pxml.certain [ Pxml.elem "r" [ d ] ]) with
@@ -285,6 +286,57 @@ let test_codec_rejects_malformed () =
   reject "<p:prob><wrong/></p:prob>";
   reject "<p:prob><p:poss p=\"1\"><a>text<p:prob><p:poss p=\"1\"/></p:prob></a></p:poss></p:prob>"
 
+(* ---- node identity ------------------------------------------------------------- *)
+
+(* Look-alike persons differ only deep inside: a hash that reads a bounded
+   prefix of the value put all of them in one bucket. *)
+let test_table_spreads_lookalikes () =
+  let tbl = Pxml.Table.create 16 in
+  for i = 0 to 9_999 do
+    let person =
+      Tree.element "person" [ Tree.leaf "nm" (Printf.sprintf "person %d" i); Tree.leaf "tel" "1111" ]
+    in
+    Pxml.Table.replace tbl (Pxml.of_tree person) ()
+  done;
+  check Alcotest.int "all distinct" 10_000 (Pxml.Table.length tbl);
+  let longest = (Pxml.Table.stats tbl).Hashtbl.max_bucket_length in
+  if longest > 8 then Alcotest.failf "largest bucket holds %d nodes" longest
+
+(* Separately allocated equal copies come out of compaction as one
+   object, and so do copies that only become equal once compacted. *)
+let test_compact_shares_equal_subtrees () =
+  let k = 50 in
+  let copy i =
+    let tel = Pxml.elem "tel" [ Pxml.certain [ Pxml.text "1111" ] ] in
+    let nm = Pxml.elem "nm" [ Pxml.certain [ Pxml.text "John" ] ] in
+    if i mod 2 = 0 then Pxml.elem "person" [ Pxml.certain [ nm ]; Pxml.certain [ tel ] ]
+    else Pxml.elem "person" [ Pxml.certain [ nm; tel ] ]
+  in
+  let doc = Pxml.certain [ Pxml.elem "book" [ Pxml.certain (List.init k copy) ] ] in
+  match (Compact.compact doc).Pxml.choices with
+  | [ { Pxml.nodes = [ Pxml.Elem (_, _, [ { Pxml.choices = [ { Pxml.nodes = first :: rest; _ } ]; _ } ]) ]; _ } ]
+    ->
+      check Alcotest.int "copies" (k - 1) (List.length rest);
+      List.iter (fun n -> check Alcotest.bool "one shared object" true (n == first)) rest
+  | _ -> Alcotest.fail "unexpected compacted shape"
+
+(* One probability node of 10^5 possibilities, each value twice: the merge
+   finds each duplicate through one hash lookup, where comparing each
+   possibility with every earlier kept one takes about 2.5x10^9 steps. *)
+let test_compact_many_choices () =
+  let n = 100_000 and distinct = 50_000 in
+  let prob = 1. /. float_of_int n in
+  let doc =
+    Pxml.dist
+      (List.init n (fun i ->
+           Pxml.choice ~prob [ Pxml.elem "v" [ Pxml.certain [ Pxml.text (string_of_int (i mod distinct)) ] ] ]))
+  in
+  let compacted = Compact.compact doc in
+  check Alcotest.int "choices" distinct (List.length compacted.Pxml.choices);
+  List.iter
+    (fun (c : Pxml.choice) -> check (Alcotest.float 1e-9) "merged mass" (1. /. float_of_int distinct) c.prob)
+    compacted.Pxml.choices
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"encode ∘ decode = id" ~count:100 doc_gen (fun doc ->
       match Codec.of_string (Codec.to_string doc) with
@@ -328,7 +380,10 @@ let suite =
         q prop_compact_never_grows;
         q prop_compact_valid;
         t "prune_to_budget meets node and world budgets" test_prune_to_budget;
+        t "shares equal subtrees" test_compact_shares_equal_subtrees;
+        t "merges 10^5 possibilities by hash" test_compact_many_choices;
       ] );
+    ("pxml.table", [ t "spreads look-alike elements" test_table_spreads_lookalikes ]);
     ( "pxml.codec",
       [
         t "figure-2 roundtrip" test_codec_roundtrip_fig2;
